@@ -9,8 +9,6 @@ from .distributions import (
     OffspringLaw,
     karamata_limit,
     karamata_ratio,
-    sample_aggregate_offspring,
-    sample_immigration,
 )
 from .estimator import (
     ClsResult,

@@ -176,9 +176,7 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
                   ((r["rep"], r["n"], r["a_n"], r["mu_hat"], r["defined"],
                     r["v1"], r["v2"], r["scaled_error"]) for r in table))
         files.append(path)
-        seed_table = [[seed, b] for b in
-                      range((cfg["reps"] + estimator._BLOCK - 1)
-                            // estimator._BLOCK)]
+        seed_table = estimator.replication_seeds(cfg["reps"], seed)
         summary["defined_fraction"] = float(np.mean(table["defined"]))
 
     elif experiment == "limit-sample":

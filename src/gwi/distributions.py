@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import zeta
 
 __all__ = [
     "ImmigrationLaw",
     "OffspringLaw",
-    "AggregateDraw",
-    "sample_immigration",
     "sample_immigration_many",
-    "sample_aggregate_offspring",
     "sample_aggregate_offspring_many",
     "karamata_ratio",
     "karamata_limit",
@@ -35,22 +33,6 @@ __all__ = [
 # the CDF jump exactly (e.g. 1-u == c in real arithmetic) are not pushed
 # to the lower step by one ulp of rounding in 1-u.
 _BOUNDARY_RTOL = 1e-12
-
-_MU_B_CUTOFF = 10**6
-
-
-def _mu_b(alpha: float, c: float, cutoff: int = _MU_B_CUTOFF) -> float:
-    """Mean of the immigration law: c * sum_{k>=1} k^(-alpha).
-
-    The series is summed directly to ``cutoff`` and closed with the
-    Euler-Maclaurin tail  integral(x^-alpha, cutoff..inf) + cutoff^-alpha/2,
-    accurate to O(cutoff^(-alpha-1)); the default cutoff puts the
-    truncation error far below 1e-10.
-    """
-    k = np.arange(1, cutoff + 1, dtype=np.float64)
-    head = float(np.sum(k ** -alpha))
-    tail = cutoff ** (1.0 - alpha) / (alpha - 1.0) - 0.5 * cutoff ** -alpha
-    return c * (head + tail)
 
 
 @dataclass(frozen=True)
@@ -69,7 +51,8 @@ class ImmigrationLaw:
             raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"c must lie in (0, 1), got {self.c}")
-        object.__setattr__(self, "mu_B", _mu_b(self.alpha, self.c))
+        # mu_B = c * sum_{k>=1} k^(-alpha) = c * zeta(alpha)
+        object.__setattr__(self, "mu_B", self.c * float(zeta(self.alpha)))
 
     def survival(self, k):
         """P(B >= k) for integer k >= 0 (vectorised)."""
@@ -111,46 +94,22 @@ class OffspringLaw:
         object.__setattr__(self, "sigma_A2", var)
 
 
-@dataclass(frozen=True)
-class AggregateDraw:
-    """Total offspring of ``parent_count`` individuals."""
-
-    total_offspring: int
-    parent_count: int
-
-    def __post_init__(self):
-        if self.parent_count == 0 and self.total_offspring != 0:
-            raise ValueError("total_offspring must be 0 when parent_count is 0")
-
-
 def sample_immigration_many(law: ImmigrationLaw, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF immigration draws from an array of uniforms.
 
-    Returns 0 where 1-u > c, else floor((c/(1-u))**(1/alpha)) — the
-    largest k >= 1 with c*k^(-alpha) >= 1-u.
+    Returns the largest k >= 1 with c*k^(-alpha) >= 1-u, or 0 where there
+    is none (1-u > c): floor((c/(1-u))**(1/alpha)) corrected by one step
+    either way against rounding in the power.
     """
-    u = np.asarray(u, dtype=np.float64)
-    q = 1.0 - u
-    out = np.zeros(u.shape, dtype=np.int64)
-    hit = q <= law.c / (1.0 - _BOUNDARY_RTOL)
-    if np.any(hit):
-        k = np.floor((law.c / q[hit]) ** (1.0 / law.alpha)).astype(np.int64)
-        k = np.maximum(k, 1)
-        # one-ulp guard: step down if c*k^-alpha fell below the (slackened)
-        # target, step up if the next level still clears it
-        target = q[hit] * (1.0 - _BOUNDARY_RTOL)
-        k = np.where(law.c * k ** -float(law.alpha) < target, k - 1, k)
-        kk = (k + 1).astype(np.float64)
-        k = np.where(law.c * kk ** -float(law.alpha) >= target, k + 1, k)
-        out[hit] = np.maximum(k, 1)
-    return out
-
-
-def sample_immigration(law: ImmigrationLaw, u: float) -> int:
-    """Single inverse-CDF immigration draw from one uniform variate."""
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie in the open interval (0, 1)")
-    return int(sample_immigration_many(law, np.array([u]))[0])
+    q = 1.0 - np.asarray(u, dtype=np.float64)
+    a = float(law.alpha)
+    k = np.floor((law.c / q) ** (1.0 / a)).astype(np.int64)
+    # one-ulp guard: step down if c*k^-alpha fell below the (slackened)
+    # target, step up if the next level still clears it
+    target = q * (1.0 - _BOUNDARY_RTOL)
+    k -= (k >= 1) & (law.c * np.maximum(k, 1) ** -a < target)
+    k += law.c * (k + 1.0) ** -a >= target
+    return k
 
 
 def sample_aggregate_offspring_many(
@@ -161,31 +120,21 @@ def sample_aggregate_offspring_many(
     Uses the closed-form aggregate: Binomial(parents, mu) for Bernoulli
     offspring, Poisson(parents*mu) for Poisson, and NegativeBinomial
     (parents failures-before-success parametrisation) for Geometric.
+    The binomial and Poisson samplers return 0 for zero parents without
+    consuming the stream; ``negative_binomial`` rejects n = 0, so the
+    geometric family draws for positive entries only.
     """
     parents = np.asarray(parents)
-    out = np.zeros(parents.shape, dtype=np.int64)
-    pos = parents > 0
-    if not np.any(pos):
-        return out
-    n = parents[pos]
     mu = law.mu_A
     if law.family == "bernoulli":
-        out[pos] = rng.binomial(n, mu)
-    elif law.family == "poisson":
-        out[pos] = rng.poisson(mu * n)
-    else:  # geometric: sum of n draws is NB(n, p) with p = 1/(1+mu)
-        out[pos] = rng.negative_binomial(n, 1.0 / (1.0 + mu))
+        return rng.binomial(parents, mu)
+    if law.family == "poisson":
+        return rng.poisson(mu * parents)
+    # geometric: sum of n draws is NB(n, p) with p = 1/(1+mu)
+    out = np.zeros(parents.shape, dtype=np.int64)
+    pos = parents > 0
+    out[pos] = rng.negative_binomial(parents[pos], 1.0 / (1.0 + mu))
     return out
-
-
-def sample_aggregate_offspring(
-    law: OffspringLaw, parents: int, rng: np.random.Generator
-) -> AggregateDraw:
-    """Draw the summed offspring of ``parents`` i.i.d. individuals."""
-    if parents < 0:
-        raise ValueError("parents must be nonnegative")
-    total = int(sample_aggregate_offspring_many(law, np.array([parents]), rng)[0])
-    return AggregateDraw(total_offspring=total, parent_count=parents)
 
 
 def karamata_ratio(beta, alpha, x, tail_cdf, truncated_moment):

@@ -25,8 +25,9 @@ from .process import (
     ModelParams,
     Trajectory,
     scaling,
+    simulate_batch,
     stationary_init_many,
-    step_batch,
+    step_batch,  # noqa: F401  (perfbench/spans.py patches it by this name)
 )
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "partial_sums",
     "scaled_error",
     "replication_experiment",
+    "replication_seeds",
     "REPLICATION_FIELDS",
 ]
 
@@ -123,39 +125,54 @@ REPLICATION_FIELDS = [
 ]
 
 
-def _run_block(args):
-    """Simulate one block of replications with a vectorised chain bundle.
+def replication_seeds(reps: int, seed: int) -> list[list[int]]:
+    """RNG keys [seed, b] of the replication blocks, one per _BLOCK reps.
 
-    Each block owns an independent RNG stream keyed by
-    (master seed, block index), so results do not depend on how blocks
-    are distributed over workers.
+    Block b holds replications b*_BLOCK onward and draws from its own
+    stream ``default_rng([seed, b])``, so results do not depend on how
+    blocks are distributed over workers.
     """
-    (params, n, seed, block_index, width, a_n, init_tol) = args
-    rng = np.random.default_rng([seed, block_index])
+    return [[seed, b] for b in range(-(-reps // _BLOCK))]
+
+
+def _run_block(args):
+    """Simulate one block of replications as a vectorised chain bundle.
+
+    The path is reduced block by block into the estimator sums over the
+    window i = 1..n and the pair sums over the shifted window j = 1..n-1.
+    """
+    (params, n, key, width, a_n, init_tol) = args
+    rng = np.random.default_rng(key)
     x = stationary_init_many(params, init_tol, width, rng)
 
     mu_A, mu_B = params.mu_A, params.mu_B
-    num = np.zeros(width)
-    den = np.zeros(width)
-    s_x2 = np.zeros(width)   # sum_{j=1..n-1} X_j^2
-    s_xm = np.zeros(width)   # sum_{j=1..n-1} X_j M_{j+1}
-    prev = x.astype(np.float64)
-    # horizon n: estimator window i = 1..n; shifted pair window j = 1..n-1
-    for i in range(1, n + 1):
-        x = step_batch(params, x, rng)
-        cur = x.astype(np.float64)
-        num += prev * (cur - mu_B)
-        den += prev * prev
-        if i >= 2:
-            xj = prev  # X_{i-1} with its forward residual M_i
-            s_xm += xj * (cur - mu_A * xj - mu_B)
-            s_x2 += xj * xj
-        prev = cur
+    # num, den, sum_{j=1..n-1} X_j^2, sum_{j=1..n-1} X_j M_{j+1}
+    sums = np.zeros((4, width))
+    first = True
 
+    def reduce(block):
+        # Row i of ``terms`` holds the step-i terms, row 0 the running
+        # sums; summing over the outer axis adds them in time order.
+        nonlocal first
+        f = block.T.astype(np.float64, order="C")
+        prev, cur = f[:-1], f[1:]
+        terms = np.empty((len(f), 4, width))
+        terms[0] = sums
+        terms[1:, 0] = prev * (cur - mu_B)
+        terms[1:, 1] = prev * prev
+        terms[1:, 2] = terms[1:, 1]
+        terms[1:, 3] = prev * (cur - mu_A * prev - mu_B)
+        if first:  # the shifted window leaves out X_0
+            terms[1, 2:] = 0.0
+            first = False
+        terms.sum(axis=0, out=sums)
+
+    simulate_batch(params, n, x, rng, reduce=reduce)
+    num, den, s_x2, s_xm = sums
     defined = den > 0
     mu_hat = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
     out = np.zeros(width, dtype=REPLICATION_FIELDS)
-    out["rep"] = block_index * _BLOCK + np.arange(width)
+    out["rep"] = key[1] * _BLOCK + np.arange(width)
     out["n"] = n
     out["a_n"] = a_n
     out["mu_hat"] = mu_hat
@@ -164,7 +181,7 @@ def _run_block(args):
     out["v2"] = s_xm / a_n**1.5
     out["scaled_error"] = np.where(defined, math.sqrt(a_n) * (mu_hat - mu_A),
                                    np.nan)
-    return block_index, out
+    return key[1], out
 
 
 def replication_experiment(
@@ -186,10 +203,8 @@ def replication_experiment(
     if reps < 1:
         raise ValueError("reps must be positive")
     info = scaling(params, n, mode=a_n_mode)
-    blocks = []
-    for b in range((reps + _BLOCK - 1) // _BLOCK):
-        width = min(_BLOCK, reps - b * _BLOCK)
-        blocks.append((params, n, seed, b, width, info.a_n, init_tol))
+    blocks = [(params, n, key, min(_BLOCK, reps - key[1] * _BLOCK), info.a_n,
+               init_tol) for key in replication_seeds(reps, seed)]
     if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block, blocks))

@@ -46,6 +46,9 @@ __all__ = [
 # Abort a replication before int64 products can wrap around.
 _OVERFLOW_LIMIT = 2**62
 
+# Chain-steps per block handed to a ``simulate_batch`` reducer.
+_REDUCE_BUDGET = 2**15
+
 
 class TailOverflowError(RuntimeError):
     """Raised when a trajectory exceeds the safe integer range."""
@@ -170,28 +173,34 @@ def simulate_batch(
     n: int,
     inits: np.ndarray,
     rng: np.random.Generator,
-    observer=None,
+    reduce=None,
 ) -> np.ndarray | None:
     """Simulate independent chains side by side for n steps.
 
-    Returns the (chains, n+1) int64 path matrix, or None when an
-    ``observer(i, x_i)`` callback is supplied (online reduction mode, no
-    path storage).
+    Without ``reduce`` returns the (chains, n+1) int64 path matrix.  With
+    it, the path is not stored: ``reduce(block)`` receives successive
+    (chains, T+1) int64 blocks whose column 0 is the previous block's
+    last state (X_0 for the first block), with T = max(1, 2**15 // chains)
+    steps per block (the last block may be shorter), and None is
+    returned.  The block is a reused buffer, so a reducer that keeps it
+    must copy it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    x = np.asarray(inits, dtype=np.int64).copy()
-    if observer is not None:
-        for i in range(1, n + 1):
+    x = np.asarray(inits, dtype=np.int64)
+    steps = n if reduce is None else max(1, _REDUCE_BUDGET // max(len(x), 1))
+    block = np.empty((len(x), min(steps, n) + 1), dtype=np.int64)
+    block[:, 0] = x
+    for start in range(0, n, steps):
+        t = min(steps, n - start)
+        for i in range(1, t + 1):
             x = step_batch(params, x, rng)
-            observer(i, x)
-        return None
-    path = np.empty((len(x), n + 1), dtype=np.int64)
-    path[:, 0] = x
-    for i in range(1, n + 1):
-        x = step_batch(params, x, rng)
-        path[:, i] = x
-    return path
+            block[:, i] = x
+        if reduce is None:
+            return block
+        reduce(block[:, : t + 1])
+        block[:, 0] = x
+    return None
 
 
 def residuals(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -237,10 +237,10 @@ def exceedance_counts(
     inits = stationary_init_many(params, init_tol, reps, rng)
     counts = np.zeros(reps, dtype=np.int64)
 
-    def observer(_, x):
-        np.add(counts, x > level, out=counts, casting="unsafe")
+    def reduce(block):
+        counts[:] += (block[:, 1:] > level).sum(1)
 
-    simulate_batch(params, n, inits, rng, observer=observer)
+    simulate_batch(params, n, inits, rng, reduce=reduce)
     return counts
 
 

@@ -9,19 +9,25 @@ from scipy import stats
 from gwi.distributions import (
     ImmigrationLaw,
     OffspringLaw,
-    _mu_b,
     karamata_limit,
     karamata_ratio,
     pareto_tail_cdf,
     pareto_truncated_moment,
-    sample_aggregate_offspring,
     sample_aggregate_offspring_many,
-    sample_immigration,
     sample_immigration_many,
 )
 
 # mpmath oracle: c * zeta(alpha) at (alpha=1.5, c=0.3)
 MU_B_ORACLE = 0.783712604605646503
+
+# mpmath oracles: 0.3 * zeta(alpha)
+MU_B_ZETA_ORACLES = {
+    1.01: 30.173383001549061747,
+    1.1: 3.1753345394852429479,
+    1.5: 0.783712604605646503,
+    1.9: 0.52492393053751824419,
+    1.99: 0.49632300705870912353,
+}
 
 
 def brute_force_immigration(law, u, kmax=10**4):
@@ -45,10 +51,10 @@ class TestImmigrationLaw:
         law = ImmigrationLaw(1.5, 0.3)
         assert law.mu_B == pytest.approx(MU_B_ORACLE, abs=1e-11)
 
-    def test_mu_b_cutoff_insensitive(self):
-        for alpha in (1.1, 1.5, 1.9):
-            assert abs(_mu_b(alpha, 0.3, 10**6) - _mu_b(alpha, 0.3, 10**7)) \
-                < 1e-10
+    def test_mu_b_zeta_oracles(self):
+        for alpha, want in MU_B_ZETA_ORACLES.items():
+            assert ImmigrationLaw(alpha, 0.3).mu_B == \
+                pytest.approx(want, rel=1e-13)
 
     def test_survival(self):
         law = ImmigrationLaw(1.5, 0.3)
@@ -58,15 +64,10 @@ class TestImmigrationLaw:
 
     def test_spec_point_values(self):
         law = ImmigrationLaw(1.5, 0.3)
-        assert sample_immigration(law, 0.5) == 0   # 1-u = 0.5 > c
-        assert sample_immigration(law, 0.9) == 2   # 0.3*2^-1.5 >= 0.1 > 0.3*3^-1.5
-        assert sample_immigration(law, 0.7) == 1   # 1-u hits c exactly
-
-    def test_u_precondition(self):
-        law = ImmigrationLaw(1.5, 0.3)
-        for u in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(ValueError):
-                sample_immigration(law, u)
+        # 1-u = 0.5 > c; 0.3*2^-1.5 >= 0.1 > 0.3*3^-1.5; 1-u hits c exactly
+        draws = sample_immigration_many(law, np.array([0.5, 0.9, 0.7]))
+        assert draws.dtype == np.int64
+        assert draws.tolist() == [0, 2, 1]
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     @pytest.mark.parametrize("c", [0.1, 0.3])
@@ -89,8 +90,8 @@ class TestImmigrationLaw:
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_u(self, u):
         law = ImmigrationLaw(1.5, 0.3)
-        lo = sample_immigration(law, u)
-        hi = sample_immigration(law, min(u + 1e-4, 1 - 1e-10))
+        lo, hi = sample_immigration_many(
+            law, np.array([u, min(u + 1e-4, 1 - 1e-10)]))
         assert hi >= lo
 
 
@@ -111,10 +112,28 @@ class TestOffspringLaw:
             OffspringLaw("zeta", 0.5)
 
     def test_zero_parents(self, rng):
+        # zero parents give zero offspring and leave the stream untouched
         for fam in ("bernoulli", "poisson", "geometric"):
             law = OffspringLaw(fam, 0.5)
-            draw = sample_aggregate_offspring(law, 0, rng)
-            assert draw.total_offspring == 0
+            state = rng.bit_generator.state
+            draws = sample_aggregate_offspring_many(
+                law, np.zeros(5, dtype=np.int64), rng)
+            assert draws.dtype == np.int64
+            assert np.all(draws == 0)
+            assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("fam", ["bernoulli", "poisson", "geometric"])
+    def test_zero_parents_draw_nothing(self, fam):
+        # mixed zero and positive counts: same stream use as positives alone
+        law = OffspringLaw(fam, 0.5)
+        parents = np.array([0, 3, 0, 5, 0, 1])
+        pos = parents > 0
+        mixed = sample_aggregate_offspring_many(
+            law, parents, np.random.default_rng(1))
+        alone = sample_aggregate_offspring_many(
+            law, parents[pos], np.random.default_rng(1))
+        assert np.array_equal(mixed[pos], alone)
+        assert np.all(mixed[~pos] == 0)
 
     def test_bernoulli_large_population_mean(self, rng):
         law = OffspringLaw("bernoulli", 0.5)

@@ -9,9 +9,17 @@ from gwi.estimator import (
     cls_estimate,
     partial_sums,
     replication_experiment,
+    replication_seeds,
     scaled_error,
 )
-from gwi.process import Trajectory, residuals, scaling, simulate
+from gwi.process import (
+    Trajectory,
+    residuals,
+    scaling,
+    simulate,
+    simulate_batch,
+    stationary_init_many,
+)
 
 
 class TestClsEstimate:
@@ -121,6 +129,30 @@ class TestReplicationExperiment:
         a = replication_experiment(ref_model, 100, 600, seed=9, workers=1)
         b = replication_experiment(ref_model, 100, 600, seed=9, workers=3)
         assert np.array_equal(a, b)
+
+    def test_rows_match_reference(self, ref_model):
+        # 300 reps: block 0 holds 250 chains, block 1 the other 50
+        n, reps, seed, tol = 2000, 300, 12, 1e-6
+        tab = replication_experiment(ref_model, n, reps, seed, init_tol=tol)
+        a_n = scaling(ref_model, n).a_n
+        paths = []
+        for b, width in ((0, 250), (1, 50)):
+            rng = np.random.default_rng([seed, b])
+            inits = stationary_init_many(ref_model, tol, width, rng)
+            paths.extend(simulate_batch(ref_model, n, inits, rng))
+        cls = [cls_estimate(x, ref_model.mu_B) for x in paths]
+        pairs = [partial_sums(Trajectory(x=x, m=residuals(ref_model, x)), a_n)
+                 for x in paths]
+        assert all(c.defined for c in cls)
+        assert tab["mu_hat"] == pytest.approx([c.mu_hat for c in cls],
+                                              rel=1e-9)
+        assert tab["v1"] == pytest.approx([p.v1 for p in pairs], rel=1e-9)
+        assert tab["v2"] == pytest.approx([p.v2 for p in pairs], rel=1e-9)
+
+    def test_seed_table(self):
+        assert replication_seeds(250, 7) == [[7, 0]]
+        assert replication_seeds(251, 7) == [[7, 0], [7, 1]]
+        assert replication_seeds(1, 3) == [[3, 0]]
 
     def test_fields_consistent(self, ref_model):
         tab = replication_experiment(ref_model, 300, 40, seed=3)

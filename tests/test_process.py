@@ -5,7 +5,9 @@ import pytest
 
 from gwi.distributions import ImmigrationLaw, OffspringLaw
 from gwi.process import (
+    _REDUCE_BUDGET,
     ModelParams,
+    TailOverflowError,
     Trajectory,
     cascade_depth,
     residuals,
@@ -20,7 +22,13 @@ MU_B = 0.783712604605646503  # c*zeta(alpha) oracle at (1.5, 0.3)
 
 
 class _ZeroImmigrationRng:
-    """Uniform stream pinned below 1-c: every immigration draw is zero."""
+    """Uniform stream pinned below 1-c: every immigration draw is zero.
+
+    Offspring draws go to a real generator.
+    """
+
+    def __init__(self):
+        self.poisson = np.random.default_rng(0).poisson
 
     def random(self, shape=None):
         return np.full(shape, 0.1) if shape is not None else 0.1
@@ -104,6 +112,40 @@ class TestSimulate:
         paths = simulate_batch(ref_model, 20, np.array([1, 2, 3]), rng)
         m = residuals(ref_model, paths)
         assert m.shape == (3, 20)
+
+
+class TestReduceMode:
+    """The reduce mode of simulate_batch hands over the stored path."""
+
+    chains = 1024  # T = _REDUCE_BUDGET // chains steps per block
+
+    @pytest.mark.parametrize("n_blocks", [2, 2.5, 0.5])
+    def test_blocks_concatenate_to_path(self, ref_model, n_blocks):
+        steps = _REDUCE_BUDGET // self.chains
+        n = int(n_blocks * steps)
+        rng = np.random.default_rng(31)
+        inits = stationary_init_many(ref_model, 1e-6, self.chains, rng)
+        state = rng.bit_generator.state
+        path = simulate_batch(ref_model, n, inits, rng)
+        rng.bit_generator.state = state
+        blocks = []
+        assert simulate_batch(ref_model, n, inits, rng,
+                              reduce=lambda b: blocks.append(b.copy())) is None
+        assert len(blocks) == math.ceil(n_blocks)
+        assert all(b.dtype == np.int64 and len(b) == self.chains
+                   for b in blocks)
+        assert all(b.shape[1] == steps + 1 for b in blocks[:-1])
+        for prev, cur in zip(blocks, blocks[1:]):
+            assert np.array_equal(cur[:, 0], prev[:, -1])
+        joined = np.concatenate([blocks[0][:, :1]] + [b[:, 1:] for b in blocks],
+                                axis=1)
+        assert np.array_equal(joined, path)
+
+    @pytest.mark.parametrize("reduce", [None, lambda block: None])
+    def test_overflow_guard(self, ref_model, rng, reduce):
+        inits = np.array([5, 2**62 + 1], dtype=np.int64)
+        with pytest.raises(TailOverflowError):
+            simulate_batch(ref_model, 3, inits, rng, reduce=reduce)
 
 
 class TestScaling:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from gwi.process import simulate_batch, stationary_init_many
 from gwi.tailproc import (
+    exceedance_counts,
     forward_tail_normalization,
     laplace_analytic,
     laplace_functional_gap,
@@ -197,3 +199,13 @@ class TestValidators:
         b = laplace_functional_gap(ref_model, 0.5, 1.0, n=1000, a_n=15.0,
                                    reps=200, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("n", [500, 3])
+    def test_exceedance_counts_match_path(self, ref_model, n):
+        # 300 chains: 500 steps span several reduce blocks, 3 fit in one
+        reps, level = 300, 10.0
+        counts = exceedance_counts(ref_model, n, reps, level, seed=[5, 0])
+        rng = np.random.default_rng([5, 0])
+        inits = stationary_init_many(ref_model, 1e-6, reps, rng)
+        path = simulate_batch(ref_model, n, inits, rng)
+        assert np.array_equal(counts, (path[:, 1:] > level).sum(axis=1))
