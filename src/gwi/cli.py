@@ -11,11 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 from scipy import stats as sp_stats
 
 from . import distributions as dist
@@ -23,10 +25,9 @@ from . import estimator, limitlaw, process, tailproc
 
 _FLOAT_KEYS = {
     "alpha", "mu_A", "c", "eps", "tol", "quantile", "x_min", "x_max",
-    "beta", "x", "level",
+    "beta", "x",
 }
-_INT_KEYS = {"n", "reps", "seed", "m", "x_points", "chains", "workers"}
-_LIST_KEYS = {"s_values", "t_values"}
+_INT_KEYS = {"n", "reps", "seed", "m", "x_points", "chains"}
 
 _DEFAULTS = {
     "alpha": 1.5,
@@ -54,7 +55,11 @@ _DEFAULTS = {
 
 
 def parse_config(path: str | None) -> dict:
-    """Flat key=value config; '#' starts a comment."""
+    """Flat key=value config; '#' starts a comment.
+
+    Only the keys of ``_DEFAULTS`` are accepted; an unknown key, a value
+    of the wrong type or a negative seed raises ``click.UsageError``.
+    """
     cfg = dict(_DEFAULTS)
     if path:
         for raw in Path(path).read_text().splitlines():
@@ -64,13 +69,20 @@ def parse_config(path: str | None) -> dict:
             if "=" not in line:
                 raise click.UsageError(f"config line not key=value: {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _DEFAULTS:
+                raise click.UsageError(f"unknown config key {key!r}")
             cfg[key] = val
-    for key in _FLOAT_KEYS:
-        if key in cfg:
-            cfg[key] = float(cfg[key])
-    for key in _INT_KEYS:
-        if key in cfg:
-            cfg[key] = int(cfg[key])
+    for keys, kind in ((_FLOAT_KEYS, float), (_INT_KEYS, int)):
+        for key in keys:
+            try:
+                cfg[key] = kind(cfg[key])
+            except ValueError:
+                raise click.UsageError(
+                    f"config key {key!r} must be of type {kind.__name__}, "
+                    f"got {cfg[key]!r}") from None
+    if cfg["seed"] < 0:
+        raise click.UsageError(f"config key 'seed' must be >= 0, "
+                               f"got {cfg['seed']}")
     return cfg
 
 
@@ -115,6 +127,8 @@ def _manifest(out_dir: Path, cfg: dict, experiment: str, files: list[Path],
         "config": {k: (v if isinstance(v, (int, float, str)) else str(v))
                    for k, v in sorted(cfg.items())},
         "build": _build_id(),
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
         "seed_table": seed_table,
         "wall_clock_s": time.time() - t0,
         "outputs": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
@@ -278,7 +292,7 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
 def _common(func):
     func = click.option("--config", "config_path", type=click.Path(exists=True),
                         default=None, help="flat key=value config file")(func)
-    func = click.option("--seed", type=int, default=None,
+    func = click.option("--seed", type=click.IntRange(min=0), default=None,
                         help="master seed (overrides config)")(func)
     func = click.option("--out", "out_dir", type=click.Path(), default="out",
                         help="output directory")(func)

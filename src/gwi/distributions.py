@@ -99,17 +99,23 @@ def sample_immigration_many(law: ImmigrationLaw, u: np.ndarray) -> np.ndarray:
 
     Returns the largest k >= 1 with c*k^(-alpha) >= 1-u, or 0 where there
     is none (1-u > c): floor((c/(1-u))**(1/alpha)) corrected by one step
-    either way against rounding in the power.
+    either way against rounding in the power.  The powers are computed
+    only where the draw is positive, which is exactly where the
+    (slackened) target is at most c.
     """
     q = 1.0 - np.asarray(u, dtype=np.float64)
     a = float(law.alpha)
-    k = np.floor((law.c / q) ** (1.0 / a)).astype(np.int64)
-    # one-ulp guard: step down if c*k^-alpha fell below the (slackened)
-    # target, step up if the next level still clears it
     target = q * (1.0 - _BOUNDARY_RTOL)
+    out = np.zeros(q.shape, dtype=np.int64)
+    hit = np.flatnonzero(target <= law.c)
+    q, target = q.ravel()[hit], target.ravel()[hit]
+    k = np.floor((law.c / q) ** (1.0 / a)).astype(np.int64)
+    # one-ulp guard: step down if c*k^-alpha fell below the target, step
+    # up if the next level still clears it
     k -= (k >= 1) & (law.c * np.maximum(k, 1) ** -a < target)
     k += law.c * (k + 1.0) ** -a >= target
-    return k
+    np.put(out, hit, k)
+    return out
 
 
 def sample_aggregate_offspring_many(

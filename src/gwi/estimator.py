@@ -140,6 +140,13 @@ def _run_block(args):
 
     The path is reduced block by block into the estimator sums over the
     window i = 1..n and the pair sums over the shifted window j = 1..n-1.
+
+    ``scaled_error`` is sqrt(a_n) * (mu_hat - mu_A) computed from the
+    rounded mu_hat, so it can be recomputed exactly from the written
+    ``mu_hat`` column.  The exact identity mu_hat - mu_A =
+    sum X_{i-1} M_i / sum X_{i-1}^2 would keep more digits on rows with
+    mu_hat near mu_A, but would differ from that recomputation by up to
+    about 1e-9 relative.
     """
     (params, n, key, width, a_n, init_tol) = args
     rng = np.random.default_rng(key)

@@ -46,7 +46,8 @@ __all__ = [
 # Abort a replication before int64 products can wrap around.
 _OVERFLOW_LIMIT = 2**62
 
-# Chain-steps per block handed to a ``simulate_batch`` reducer.
+# Chain-steps per ``simulate_batch`` block: each block's immigration is
+# drawn at once, and in reduce mode the block is handed to the reducer.
 _REDUCE_BUDGET = 2**15
 
 
@@ -159,13 +160,15 @@ def stationary_init(params: ModelParams, tol: float, rng: np.random.Generator) -
 
 
 def step_batch(
-    params: ModelParams, x: np.ndarray, rng: np.random.Generator
+    params: ModelParams, x: np.ndarray, b: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One transition applied to a vector of independent chains."""
+    """One transition of independent chains: offspring of ``x`` plus ``b``.
+
+    ``b`` is the step's immigration, drawn ahead by ``simulate_batch``.
+    """
     if x.max(initial=0) > _OVERFLOW_LIMIT:
         raise TailOverflowError("trajectory exceeded the safe integer range")
-    total = sample_aggregate_offspring_many(params.offspring, x, rng)
-    return total + sample_immigration_many(params.immigration, rng.random(x.shape))
+    return sample_aggregate_offspring_many(params.offspring, x, rng) + b
 
 
 def simulate_batch(
@@ -177,30 +180,37 @@ def simulate_batch(
 ) -> np.ndarray | None:
     """Simulate independent chains side by side for n steps.
 
+    The steps run in blocks of T = max(1, 2**15 // chains) (the last
+    block may be shorter).  Immigration does not depend on the state, so
+    each block first draws its (T, chains) immigration from one
+    ``rng.random((T, chains))`` call and then steps through it, drawing
+    the offspring step by step.
+
     Without ``reduce`` returns the (chains, n+1) int64 path matrix.  With
     it, the path is not stored: ``reduce(block)`` receives successive
     (chains, T+1) int64 blocks whose column 0 is the previous block's
-    last state (X_0 for the first block), with T = max(1, 2**15 // chains)
-    steps per block (the last block may be shorter), and None is
-    returned.  The block is a reused buffer, so a reducer that keeps it
-    must copy it.
+    last state (X_0 for the first block), and None is returned.  The
+    block is a reused buffer, so a reducer that keeps it must copy it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     x = np.asarray(inits, dtype=np.int64)
-    steps = n if reduce is None else max(1, _REDUCE_BUDGET // max(len(x), 1))
-    block = np.empty((len(x), min(steps, n) + 1), dtype=np.int64)
-    block[:, 0] = x
+    chains = len(x)
+    steps = max(1, _REDUCE_BUDGET // max(chains, 1))
+    out = np.empty((chains, (n if reduce is None else min(steps, n)) + 1),
+                   dtype=np.int64)
+    out[:, 0] = x
     for start in range(0, n, steps):
         t = min(steps, n - start)
-        for i in range(1, t + 1):
-            x = step_batch(params, x, rng)
-            block[:, i] = x
-        if reduce is None:
-            return block
-        reduce(block[:, : t + 1])
-        block[:, 0] = x
-    return None
+        col = start if reduce is None else 0
+        b = sample_immigration_many(params.immigration, rng.random((t, chains)))
+        for i in range(t):
+            x = step_batch(params, x, b[i], rng)
+            out[:, col + i + 1] = x
+        if reduce is not None:
+            reduce(out[:, : t + 1])
+            out[:, 0] = x
+    return out if reduce is None else None
 
 
 def residuals(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -39,6 +40,30 @@ class TestConfig:
         with pytest.raises(Exception):
             parse_config(str(p))
 
+    def test_unknown_key_rejected(self, tmp_path):
+        p = tmp_path / "typo.cfg"
+        p.write_text("mua = 0.9\n")
+        with pytest.raises(click.UsageError, match="'mua'"):
+            parse_config(str(p))
+
+    def test_bad_value_names_key(self, tmp_path):
+        for line in ("n = 1e5", "alpha = heavy"):
+            p = tmp_path / "typed.cfg"
+            p.write_text(line + "\n")
+            with pytest.raises(click.UsageError, match=repr(line.split()[0])):
+                parse_config(str(p))
+
+    def test_negative_seed_rejected(self, runner, tmp_path):
+        p = tmp_path / "seed.cfg"
+        p.write_text("seed = -1\n")
+        with pytest.raises(click.UsageError, match="'seed'"):
+            parse_config(str(p))
+        result = runner.invoke(main, ["karamata", "--seed", "-1",
+                                      "--out", str(tmp_path / "k")])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert not (tmp_path / "k").exists()
+
     def test_write_csv_format(self, tmp_path):
         p = tmp_path / "t.csv"
         write_csv(p, ["a", "b"], [(1, 0.5), (2, 1 / 3)])
@@ -71,6 +96,7 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiment"] == "simulate"
         assert manifest["seed_table"] == [5]
+        assert manifest["versions"]["numpy"] == np.__version__
         for name, digest in manifest["outputs"].items():
             got = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert got == digest

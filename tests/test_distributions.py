@@ -38,6 +38,17 @@ def brute_force_immigration(law, u, kmax=10**4):
     return int(k[ok][-1]) if ok.any() else 0
 
 
+def unmasked_immigration(law, u):
+    """The inverse-CDF kernel evaluated on every draw, zeros included."""
+    q = 1.0 - np.asarray(u, dtype=np.float64)
+    a = float(law.alpha)
+    k = np.floor((law.c / q) ** (1.0 / a)).astype(np.int64)
+    target = q * (1.0 - 1e-12)
+    k -= (k >= 1) & (law.c * np.maximum(k, 1) ** -a < target)
+    k += law.c * (k + 1.0) ** -a >= target
+    return k
+
+
 class TestImmigrationLaw:
     def test_parameter_validation(self):
         for alpha in (0.9, 1.0, 2.0, 2.5):
@@ -85,6 +96,22 @@ class TestImmigrationLaw:
                 assert got >= want
             else:
                 assert got == want, (u, got, want)
+
+    @pytest.mark.parametrize("alpha,c", [(1.01, 0.9), (1.5, 0.3), (1.99, 0.05)])
+    def test_masked_matches_unmasked_on_blocks(self, alpha, c):
+        # (T, chains) blocks as simulate_batch draws them, with rows of
+        # exact CDF jumps and their neighbouring floats mixed in
+        law = ImmigrationLaw(alpha, c)
+        k = np.arange(1, 10**4 + 1, dtype=np.float64)
+        jumps = 1.0 - c * k**-alpha
+        jumps = np.concatenate([jumps, np.nextafter(jumps, 0.0),
+                                np.nextafter(jumps, 1.0)])
+        u = np.random.default_rng(3).random((600, 250))
+        u.ravel()[::5][: len(jumps)] = jumps
+        for block in (u, u[:131], u[:, :1], jumps.reshape(-1, 1)):
+            got = sample_immigration_many(law, block)
+            assert got.shape == block.shape and got.dtype == np.int64
+            assert np.array_equal(got, unmasked_immigration(law, block))
 
     @given(u=st.floats(min_value=1e-9, max_value=1 - 1e-9))
     @settings(max_examples=200, deadline=None)

@@ -161,7 +161,7 @@ class TestReplicationExperiment:
         d = tab["defined"]
         assert np.all(np.isfinite(tab["mu_hat"][d]))
         se = math.sqrt(tab["a_n"][0]) * (tab["mu_hat"][d] - ref_model.mu_A)
-        assert np.allclose(se, tab["scaled_error"][d], atol=1e-12)
+        assert np.allclose(se, tab["scaled_error"][d], rtol=1e-12, atol=0)
         assert np.all(tab["v1"] >= 0)
 
     def test_undefined_rate_bound(self, ref_model):

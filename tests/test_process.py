@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gwi.distributions import ImmigrationLaw, OffspringLaw
+from gwi.distributions import (
+    ImmigrationLaw,
+    OffspringLaw,
+    sample_immigration_many,
+)
 from gwi.process import (
     _REDUCE_BUDGET,
     ModelParams,
@@ -32,6 +36,35 @@ class _ZeroImmigrationRng:
 
     def random(self, shape=None):
         return np.full(shape, 0.1) if shape is not None else 0.1
+
+
+class _RecordingRng:
+    """Real uniforms, recorded with every call; offspring always zero."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+        self.uniforms = []
+
+    def random(self, shape):
+        self.calls.append(("random", shape))
+        u = self._rng.random(shape)
+        self.uniforms.append(u)
+        return u
+
+    def poisson(self, lam):
+        self.calls.append(("poisson", np.shape(lam)))
+        return np.zeros(np.shape(lam), dtype=np.int64)
+
+
+class _DoublingRng:
+    """Zero immigration; Poisson offspring doubling X when mu_A = 0.5."""
+
+    def random(self, shape):
+        return np.full(shape, 0.1)
+
+    def poisson(self, lam):
+        return (4 * np.asarray(lam)).astype(np.int64)
 
 
 class TestModelParams:
@@ -146,6 +179,44 @@ class TestReduceMode:
         inits = np.array([5, 2**62 + 1], dtype=np.int64)
         with pytest.raises(TailOverflowError):
             simulate_batch(ref_model, 3, inits, rng, reduce=reduce)
+
+    @pytest.mark.parametrize("n", [70, 64, 5])
+    def test_immigration_drawn_per_block(self, ref_model, n):
+        # with zero offspring X_i = B_i: the path must be the recorded
+        # (t, chains) uniforms mapped through the immigration kernel, one
+        # random call per block, ahead of the block's offspring draws
+        chains = 1024
+        steps = _REDUCE_BUDGET // chains
+        fake = _RecordingRng(5)
+        path = simulate_batch(ref_model, n, np.arange(chains), fake)
+        sizes = [min(steps, n - s) for s in range(0, n, steps)]
+        assert [u.shape for u in fake.uniforms] == [(t, chains) for t in sizes]
+        b = np.concatenate([sample_immigration_many(ref_model.immigration, u)
+                            for u in fake.uniforms])
+        assert np.array_equal(path[:, 1:], b.T)
+        assert np.array_equal(path[:, 0], np.arange(chains))
+        want = []
+        for t in sizes:
+            want += [("random", (t, chains))] + [("poisson", (chains,))] * t
+        assert fake.calls == want
+
+        again = _RecordingRng(5)
+        simulate_batch(ref_model, n, np.arange(chains), again,
+                       reduce=lambda block: None)
+        assert again.calls == fake.calls
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_overflow_guard_mid_block(self, ref_model, reduced):
+        # X doubles from 3*2**57 and passes 2**62 at step 4, so the guard
+        # fires before step 5, inside the first block
+        seen = []
+        inits = np.array([1, 3 * 2**57], dtype=np.int64)
+        with pytest.raises(TailOverflowError):
+            simulate_batch(ref_model, 100, inits, _DoublingRng(),
+                           reduce=seen.append if reduced else None)
+        assert seen == []
+        path = simulate_batch(ref_model, 4, inits, _DoublingRng())
+        assert path[1].tolist() == [3 * 2**k for k in range(57, 62)]
 
 
 class TestScaling:
