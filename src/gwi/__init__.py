@@ -19,14 +19,11 @@ from .estimator import (
     scaled_error,
 )
 from .limitlaw import (
-    LimitPair,
     LimitParams,
     cdf_ratio,
     cf_joint,
     cf_marginals,
-    sample_limit_pair,
     sample_limit_pairs,
-    u_statistic,
 )
 from .process import (
     ModelParams,

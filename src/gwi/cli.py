@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import time
@@ -27,7 +28,17 @@ _FLOAT_KEYS = {
     "alpha", "mu_A", "c", "eps", "tol", "quantile", "x_min", "x_max",
     "beta", "x",
 }
-_INT_KEYS = {"n", "reps", "seed", "m", "x_points", "chains"}
+_INT_KEYS = {"n", "reps", "seed", "x_points", "chains"}
+_BOOL_WORDS = {"true": True, "1": True, "yes": True,
+               "false": False, "0": False, "no": False}
+
+# Open intervals (lo, hi) the float keys must lie in, and the least
+# value of each int key.
+_OPEN_RANGES = {
+    "alpha": (1.0, 2.0), "mu_A": (0.0, 1.0), "c": (0.0, 1.0),
+    "eps": (0.0, math.inf), "tol": (0.0, 1.0), "quantile": (0.0, 1.0),
+}
+_INT_MINIMA = {"n": 1, "reps": 1, "x_points": 1, "chains": 1, "seed": 0}
 
 _DEFAULTS = {
     "alpha": 1.5,
@@ -41,7 +52,6 @@ _DEFAULTS = {
     "a_n_mode": "analytic",
     "tol": 1e-6,
     "compensate": "false",
-    "m": 5,
     "quantile": 0.999,
     "chains": 100,
     "x_min": -5.0,
@@ -58,7 +68,8 @@ def parse_config(path: str | None) -> dict:
     """Flat key=value config; '#' starts a comment.
 
     Only the keys of ``_DEFAULTS`` are accepted; an unknown key, a value
-    of the wrong type or a negative seed raises ``click.UsageError``.
+    of the wrong type or one outside its range raises ``click.UsageError``
+    naming the key.  ``compensate`` is true/false/1/0/yes/no, in any case.
     """
     cfg = dict(_DEFAULTS)
     if path:
@@ -80,9 +91,20 @@ def parse_config(path: str | None) -> dict:
                 raise click.UsageError(
                     f"config key {key!r} must be of type {kind.__name__}, "
                     f"got {cfg[key]!r}") from None
-    if cfg["seed"] < 0:
-        raise click.UsageError(f"config key 'seed' must be >= 0, "
-                               f"got {cfg['seed']}")
+    word = str(cfg["compensate"]).lower()
+    if word not in _BOOL_WORDS:
+        raise click.UsageError(
+            f"config key 'compensate' must be one of true/false/1/0/yes/no, "
+            f"got {cfg['compensate']!r}")
+    cfg["compensate"] = _BOOL_WORDS[word]
+    for key, (lo, hi) in _OPEN_RANGES.items():
+        if not lo < cfg[key] < hi:
+            raise click.UsageError(f"config key {key!r} must lie in "
+                                   f"({lo:g}, {hi:g}), got {cfg[key]!r}")
+    for key, least in _INT_MINIMA.items():
+        if cfg[key] < least:
+            raise click.UsageError(f"config key {key!r} must be >= {least}, "
+                                   f"got {cfg[key]}")
     return cfg
 
 
@@ -121,7 +143,7 @@ def _floats(spec) -> list[float]:
 
 
 def _manifest(out_dir: Path, cfg: dict, experiment: str, files: list[Path],
-              t0: float, seed_table) -> Path:
+              t0: float, seed_table, health: dict | None) -> Path:
     manifest = {
         "experiment": experiment,
         "config": {k: (v if isinstance(v, (int, float, str)) else str(v))
@@ -134,6 +156,8 @@ def _manifest(out_dir: Path, cfg: dict, experiment: str, files: list[Path],
         "outputs": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                     for f in files},
     }
+    if health is not None:
+        manifest["health"] = health
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -155,6 +179,7 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
     files: list[Path] = []
     seed_table: object = [seed]
     summary: dict = {}
+    health: dict | None = None
 
     if experiment == "simulate":
         params = _model(cfg)
@@ -197,13 +222,17 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
         p = _limit_params(cfg)
         rng = np.random.default_rng([seed, 0])
         table = limitlaw.sample_limit_pairs(
-            p, cfg["eps"], cfg["reps"], rng,
-            compensate=str(cfg["compensate"]).lower() in ("1", "true", "yes"))
+            p, cfg["eps"], cfg["reps"], rng, compensate=cfg["compensate"])
         path = out_dir / "limit_samples.csv"
         write_csv(path, ["v1", "v2", "terms_used"],
                   ((r["v1"], r["v2"], r["terms_used"]) for r in table))
         files.append(path)
         summary["mean_terms"] = float(np.mean(table["terms_used"]))
+        v1_mean, v2_sd = limitlaw.truncation_bounds(p, cfg["eps"])
+        health = {"eps": cfg["eps"], "compensate": cfg["compensate"],
+                  "trunc_v1_mean_bound": v1_mean, "trunc_v2_sd_bound": v2_sd,
+                  "mean_terms_used": summary["mean_terms"],
+                  "min_terms_used": int(np.min(table["terms_used"]))}
 
     elif experiment == "cdf-table":
         p = _limit_params(cfg)
@@ -283,7 +312,8 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
     else:
         raise click.UsageError(f"unknown experiment {experiment!r}")
 
-    manifest = _manifest(out_dir, cfg, experiment, files, t0, seed_table)
+    manifest = _manifest(out_dir, cfg, experiment, files, t0, seed_table,
+                         health)
     summary["manifest"] = str(manifest)
     summary["outputs"] = [str(f) for f in files]
     return summary

@@ -7,6 +7,15 @@ Poisson process with intensity theta*alpha*y^{-alpha-1} dy on (0, inf)
 N(0, sigma_A2).  V1 is a positive alpha/2-stable variable, V2 a
 symmetric 2*alpha/3-stable one, and they are dependent.
 
+Given the points, V2 is exactly N(0, sigma_A2*S3/(1-mu_A^3)) with
+S3 = sum_i P_i^3 (the conditionally Gaussian form of the LePage series).
+So one kernel draws the points above a level eps and returns
+S2 = sum_i P_i^2 and S3 per draw; the sampler sets V1 = S2/(1-mu_A^2) and
+V2 = sqrt(sigma_A2*S3/(1-mu_A^3))*N with one standard normal N per draw.
+The same identity makes the ratio a scale mixture of normals,
+V2/V1 = k*sqrt(U)*N with U = theta^{1/alpha} S3/S2^2 and
+k = (1-mu_A^2)*sqrt(sigma_A2/(1-mu_A^3))*theta^{-1/(2 alpha)}.
+
 The joint characteristic function is
 
     phi(s, t) = exp{ theta * int_0^inf (e^{g(y)} - 1) alpha y^{-alpha-1} dy },
@@ -37,16 +46,12 @@ from .quadrature import QuadratureError, euler_accelerated_sum, gauss_kronrod, \
 
 __all__ = [
     "LimitParams",
-    "LimitPair",
-    "sample_poisson_points",
-    "sample_limit_pair",
     "sample_limit_pairs",
     "limit_u_samples",
     "truncation_bounds",
     "cf_joint",
     "cf_marginals",
     "cdf_ratio",
-    "u_statistic",
 ]
 
 
@@ -79,15 +84,18 @@ class LimitParams:
         object.__setattr__(self, "C2", c2)
 
 
-@dataclass(frozen=True)
-class LimitPair:
-    """One draw of (V1, V2) with certified truncation-error bounds."""
+# Points drawn per chunk of rows; the draws do not depend on it.
+_CHUNK_POINTS = 2**20
 
-    v1: float
-    v2: float
-    trunc_v1_mean_bound: float
-    trunc_v2_sd_bound: float
-    terms_used: int
+
+def _remainder_means(p: LimitParams, eps: float) -> tuple[float, float]:
+    """Means of sum P^2 and sum P^3 over the points at or below ``eps``.
+
+    Campbell's formula on the intensity theta*alpha*y^{-alpha-1}:
+    E sum_{P <= eps} P^k = theta*alpha*eps^{k-alpha}/(k-alpha).
+    """
+    a, ta = p.alpha, p.theta * p.alpha
+    return ta * eps ** (2.0 - a) / (2.0 - a), ta * eps ** (3.0 - a) / (3.0 - a)
 
 
 def truncation_bounds(p: LimitParams, eps: float) -> tuple[float, float]:
@@ -97,90 +105,47 @@ def truncation_bounds(p: LimitParams, eps: float) -> tuple[float, float]:
     mass): both follow from the Poisson intensity theta*alpha*y^{-alpha-1}
     integrated over (0, eps].
     """
-    a, m, s2, th = p.alpha, p.mu_A, p.sigma_A2, p.theta
-    v1_mean = th * a * eps ** (2.0 - a) / ((1.0 - m**2) * (2.0 - a))
-    v2_sd = math.sqrt(th * s2 * a * eps ** (3.0 - a) / ((1.0 - m**3) * (3.0 - a)))
-    return v1_mean, v2_sd
+    r2, r3 = _remainder_means(p, eps)
+    m = p.mu_A
+    return r2 / (1.0 - m**2), math.sqrt(p.sigma_A2 * r3 / (1.0 - m**3))
 
 
-def sample_poisson_points(
-    p: LimitParams, eps: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Points P_i = theta^{1/alpha} Gamma_i^{-1/alpha} above level ``eps``.
+def _poisson_points(p: LimitParams, eps: float, counts, rng: np.random.Generator):
+    """The points above level ``eps`` of ``len(counts)`` Poisson series.
 
-    Gamma_i are the arrival times of a unit-rate Poisson process,
-    accumulated until the first point at or below ``eps``.
+    Row i holds ``counts[i]`` points.  Given its count, a row's arrival
+    times are i.i.d. uniform on (0, theta*eps^-alpha], and the sums taken
+    over them do not depend on their order, so no sorting is done.
+    Returns (row index of each point, the points).
     """
     a, th = p.alpha, p.theta
-    limit = th * eps**-a  # Gamma_i beyond this level maps to P_i <= eps
-    gammas = []
-    total = 0.0
-    while True:
-        arr = total + np.cumsum(rng.standard_exponential(256))
-        below = arr < limit
-        gammas.append(arr[below])
-        if not below.all():
-            break
-        total = arr[-1]
-    g = np.concatenate(gammas)
-    return th ** (1.0 / a) * g ** (-1.0 / a)
+    idx = np.repeat(np.arange(len(counts)), counts)
+    g = th * eps**-a * rng.random(len(idx))
+    return idx, th ** (1.0 / a) * g ** (-1.0 / a)
 
 
-def sample_limit_pair(
-    p: LimitParams, eps: float, rng: np.random.Generator, compensate: bool = False
-) -> LimitPair:
-    """One (V1, V2) draw from the truncated Poisson series.
+def _poisson_sums(p: LimitParams, eps: float, size: int,
+                  rng: np.random.Generator):
+    """S2 = sum P^2 and S3 = sum P^3 over ``size`` truncated series.
 
-    Exponential increments are accumulated until the first point falls
-    to level ``eps`` or below; ``compensate=True`` adds the closed-form
-    mean of the dropped V1 remainder and an independent centred normal
-    with the remainder's mean conditional variance to V2, shrinking the
-    residual truncation error by orders of magnitude at equal cost.
+    Returns (S2, S3, counts), where counts ~ Poisson(theta*eps^-alpha)
+    are the numbers of points above ``eps``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    m = p.mu_A
-    points = sample_poisson_points(p, eps, rng)
-    z = rng.normal(0.0, math.sqrt(p.sigma_A2), len(points))
-    v1 = float(np.sum(points**2)) / (1.0 - m**2)
-    v2 = float(np.sum(points**1.5 * z)) / math.sqrt(1.0 - m**3)
-    b1, b2 = truncation_bounds(p, eps)
-    if compensate:
-        v1 += b1
-        v2 += b2 * rng.standard_normal()
-    return LimitPair(v1=v1, v2=v2, trunc_v1_mean_bound=b1,
-                     trunc_v2_sd_bound=b2, terms_used=len(points))
-
-
-def _poisson_sums(p, eps, size, rng, chunk_points=2 * 10**7):
-    """Raw truncated series sums for ``size`` independent draws.
-
-    Conditional on the Poisson(theta*eps^-alpha) number of points above
-    level eps, the arrival times are i.i.d. uniforms on (0, limit] —
-    the sums below do not depend on their order, so no sorting is done.
-    Returns (sum P^2, sum P^3, sum P^{3/2} Z, counts).
-    """
-    a, th = p.alpha, p.theta
-    limit = th * eps**-a
+    limit = p.theta * eps**-p.alpha
     counts = rng.poisson(limit, size)
-    s2 = np.zeros(size)
-    s3 = np.zeros(size)
-    s32z = np.zeros(size)
-    sd = math.sqrt(p.sigma_A2)
-    chunk_samples = max(1, int(chunk_points / max(limit, 1.0)))
-    for lo in range(0, size, chunk_samples):
-        cnt = counts[lo:lo + chunk_samples]
-        idx = np.repeat(np.arange(len(cnt)), cnt)
-        g = limit * rng.random(len(idx))
-        pts = th ** (1.0 / a) * g ** (-1.0 / a)
-        z = rng.normal(0.0, sd, len(idx))
+    s2 = np.empty(size)
+    s3 = np.empty(size)
+    rows = max(1, int(_CHUNK_POINTS / max(limit, 1.0)))
+    for lo in range(0, size, rows):
+        cnt = counts[lo:lo + rows]
+        idx, pts = _poisson_points(p, eps, cnt, rng)
         p2 = pts * pts
         width = len(cnt)
         s2[lo:lo + width] = np.bincount(idx, weights=p2, minlength=width)
         s3[lo:lo + width] = np.bincount(idx, weights=p2 * pts, minlength=width)
-        s32z[lo:lo + width] = np.bincount(idx, weights=pts**1.5 * z,
-                                          minlength=width)
-    return s2, s3, s32z, counts
+    return s2, s3, counts
 
 
 def sample_limit_pairs(
@@ -190,31 +155,25 @@ def sample_limit_pairs(
     rng: np.random.Generator,
     compensate: bool = False,
 ) -> np.ndarray:
-    """Vectorised (V1, V2) draws; structured array (v1, v2, terms_used)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Vectorised (V1, V2) draws; structured array (v1, v2, terms_used).
+
+    V1 = S2/(1-mu_A^2) and V2 = sqrt(sigma_A2*S3/(1-mu_A^3)) * N, with one
+    standard normal N per draw, made after all points.  ``compensate=True``
+    adds the closed-form remainder means to S2 and S3 first, so V1 gains
+    the mean of its dropped mass and V2 the variance of its own.
+    """
     m = p.mu_A
-    s2, _, s32z, counts = _poisson_sums(p, eps, size, rng)
-    v1 = s2 / (1.0 - m**2)
-    v2 = s32z / math.sqrt(1.0 - m**3)
-    b1, b2 = truncation_bounds(p, eps)
+    s2, s3, counts = _poisson_sums(p, eps, size, rng)
     if compensate:
-        v1 = v1 + b1
-        v2 = v2 + b2 * rng.standard_normal(size)
+        r2, r3 = _remainder_means(p, eps)
+        s2, s3 = s2 + r2, s3 + r3
     out = np.zeros(size, dtype=[("v1", np.float64), ("v2", np.float64),
                                 ("terms_used", np.int64)])
-    out["v1"], out["v2"], out["terms_used"] = v1, v2, counts
+    out["v1"] = s2 / (1.0 - m**2)
+    out["v2"] = np.sqrt(p.sigma_A2 * s3 / (1.0 - m**3)) \
+        * rng.standard_normal(size)
+    out["terms_used"] = counts
     return out
-
-
-def u_statistic(p: LimitParams, points) -> float:
-    """theta^{1/alpha} * sum P^3 / (sum P^2)^2 over the given points."""
-    pts = np.asarray(points, dtype=np.float64)
-    if len(pts) == 0:
-        raise ValueError("need at least one retained point")
-    s2 = float(np.sum(pts**2))
-    s3 = float(np.sum(pts**3))
-    return p.theta ** (1.0 / p.alpha) * s3 / s2**2
 
 
 def limit_u_samples(
@@ -226,11 +185,9 @@ def limit_u_samples(
     sub-``eps`` remainders, so the truncation bias is O(eps^{4-alpha})
     rather than O(eps^{2-alpha}).
     """
-    a, m, th = p.alpha, p.mu_A, p.theta
-    s2, s3, _, _ = _poisson_sums(p, eps, size, rng)
-    s2 = s2 + th * a * eps ** (2.0 - a) / (2.0 - a)
-    s3 = s3 + th * a * eps ** (3.0 - a) / (3.0 - a)
-    return th ** (1.0 / a) * s3 / s2**2
+    s2, s3, _ = _poisson_sums(p, eps, size, rng)
+    r2, r3 = _remainder_means(p, eps)
+    return p.theta ** (1.0 / p.alpha) * (s3 + r3) / (s2 + r2) ** 2
 
 
 # ---------------------------------------------------------------------------

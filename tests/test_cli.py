@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from gwi.cli import main, parse_config, write_csv
+from gwi.limitlaw import LimitParams, truncation_bounds
 
 
 @pytest.fixture()
@@ -41,9 +42,44 @@ class TestConfig:
             parse_config(str(p))
 
     def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "typo.cfg"
-        p.write_text("mua = 0.9\n")
-        with pytest.raises(click.UsageError, match="'mua'"):
+        # 'm' was a default that nothing read
+        for key in ("mua", "m"):
+            p = tmp_path / "typo.cfg"
+            p.write_text(f"{key} = 0.9\n")
+            with pytest.raises(click.UsageError, match=repr(key)):
+                parse_config(str(p))
+
+    def test_compensate_parsed_strictly(self, tmp_path):
+        p = tmp_path / "comp.cfg"
+        for word, want in (("true", True), ("YES", True), ("1", True),
+                           ("False", False), ("no", False), ("0", False)):
+            p.write_text(f"compensate = {word}\n")
+            assert parse_config(str(p))["compensate"] is want
+        assert parse_config(None)["compensate"] is False
+        for word in ("ture", "on", ""):
+            p.write_text(f"compensate = {word}\n")
+            with pytest.raises(click.UsageError, match="'compensate'"):
+                parse_config(str(p))
+
+    @pytest.mark.parametrize("key,value", [
+        ("alpha", "1"), ("alpha", "2"), ("alpha", "nan"), ("mu_A", "0"),
+        ("mu_A", "1"), ("c", "0"), ("c", "1.5"), ("eps", "0"),
+        ("eps", "-0.01"), ("tol", "0"), ("tol", "1"), ("quantile", "0"),
+        ("quantile", "1"), ("n", "0"), ("reps", "0"), ("x_points", "0"),
+        ("chains", "-3"),
+    ])
+    def test_out_of_range_rejected(self, tmp_path, key, value):
+        p = tmp_path / "range.cfg"
+        p.write_text(f"{key} = {value}\n")
+        with pytest.raises(click.UsageError, match=repr(key)):
+            parse_config(str(p))
+
+    def test_range_edges_accepted(self, tmp_path):
+        # the benchmark's range probes
+        p = tmp_path / "edge.cfg"
+        for line in ("alpha = 1.01", "alpha = 1.99", "mu_A = 0.99",
+                     "x_min = 100\nx_max = 100\nx_points = 1"):
+            p.write_text(line + "\n")
             parse_config(str(p))
 
     def test_bad_value_names_key(self, tmp_path):
@@ -97,6 +133,7 @@ class TestSimulate:
         assert manifest["experiment"] == "simulate"
         assert manifest["seed_table"] == [5]
         assert manifest["versions"]["numpy"] == np.__version__
+        assert "health" not in manifest
         for name, digest in manifest["outputs"].items():
             got = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert got == digest
@@ -179,6 +216,15 @@ class TestLimitSample:
         assert len(rows) == 301
         v1 = np.array([float(r.split(",")[0]) for r in rows[1:]])
         assert np.all(v1 > 0)
+        terms = np.array([int(r.split(",")[2]) for r in rows[1:]])
+        health = json.loads((out / "manifest.json").read_text())["health"]
+        v1_mean, v2_sd = truncation_bounds(LimitParams(1.5, 0.5, 0.5), 0.05)
+        assert health == {
+            "eps": 0.05, "compensate": True,
+            "trunc_v1_mean_bound": pytest.approx(v1_mean, rel=1e-15),
+            "trunc_v2_sd_bound": pytest.approx(v2_sd, rel=1e-15),
+            "mean_terms_used": pytest.approx(terms.mean(), rel=1e-12),
+            "min_terms_used": int(terms.min())}
 
 
 class TestCompare:

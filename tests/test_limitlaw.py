@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from gwi import limitlaw
 from gwi.limitlaw import (
     LimitParams,
+    _poisson_points,
     cdf_ratio,
     cf_joint,
     cf_log,
     cf_marginals,
     limit_u_samples,
-    sample_limit_pair,
     sample_limit_pairs,
-    sample_poisson_points,
     truncation_bounds,
-    u_statistic,
 )
 
 # mpmath oracles at (alpha=1.5, mu_A=0.5)
@@ -91,23 +90,32 @@ class TestCharacteristicFunctions:
         assert gap > 1e-3
 
 
+def _series_points(p, eps, size, rng):
+    """Counts, then the points of ``size`` series drawn by the kernel."""
+    counts = rng.poisson(p.theta * eps ** -p.alpha, size)
+    return _poisson_points(p, eps, counts, rng)
+
+
 class TestSampler:
     def test_reproducible(self, ref_limit):
-        a = sample_limit_pair(ref_limit, 0.01, np.random.default_rng(3))
-        b = sample_limit_pair(ref_limit, 0.01, np.random.default_rng(3))
-        assert a == b
+        a = sample_limit_pairs(ref_limit, 0.01, 50, np.random.default_rng(3))
+        b = sample_limit_pairs(ref_limit, 0.01, 50, np.random.default_rng(3))
+        assert a.tobytes() == b.tobytes()
 
     def test_rejects_bad_eps(self, ref_limit, rng):
         with pytest.raises(ValueError):
-            sample_limit_pair(ref_limit, 0.0, rng)
+            sample_limit_pairs(ref_limit, 0.0, 10, rng)
+        with pytest.raises(ValueError):
+            limit_u_samples(ref_limit, -1.0, 10, rng)
 
     def test_empty_sum_flagged(self, ref_limit):
         # huge eps: expected count theta*eps^-alpha ~ 6.5e-3, empty sums occur
-        rng = np.random.default_rng(0)
-        pairs = [sample_limit_pair(ref_limit, 100.0, rng) for _ in range(50)]
-        empties = [q for q in pairs if q.terms_used == 0]
-        assert empties
-        assert all(q.v1 == 0.0 and q.trunc_v1_mean_bound > 0 for q in empties)
+        tab = sample_limit_pairs(ref_limit, 100.0, 50,
+                                 np.random.default_rng(0))
+        empties = tab[tab["terms_used"] == 0]
+        assert len(empties)
+        assert np.all(empties["v1"] == 0.0) and np.all(empties["v2"] == 0.0)
+        assert truncation_bounds(ref_limit, 100.0)[0] > 0
 
     def test_terms_used_mean(self, ref_limit, rng):
         eps = 0.05
@@ -120,11 +128,9 @@ class TestSampler:
         # E[sum P^2 over eps < P <= K] = theta*alpha*(K^{2-a}-eps^{2-a})/(2-a)
         a, th = ref_limit.alpha, ref_limit.theta
         eps, cap = 0.05, 1.0
-        sums = []
-        for _ in range(4000):
-            pts = sample_poisson_points(ref_limit, eps, rng)
-            sums.append(np.sum(pts[pts <= cap] ** 2))
-        sums = np.asarray(sums)
+        idx, pts = _series_points(ref_limit, eps, 4000, rng)
+        sums = np.bincount(idx, weights=np.where(pts <= cap, pts**2, 0.0),
+                           minlength=4000)
         want = th * a * (cap ** (2 - a) - eps ** (2 - a)) / (2 - a)
         stderr = sums.std(ddof=1) / math.sqrt(len(sums))
         assert abs(sums.mean() - want) < 3 * stderr
@@ -134,12 +140,11 @@ class TestSampler:
         # by less than the sum of the two closed-form bounds
         eps = 0.1
         m2 = 1.0 - ref_limit.mu_A**2
-        diffs = []
-        for _ in range(4000):
-            pts = sample_poisson_points(ref_limit, eps / 2, rng)
-            fine = np.sum(pts**2) / m2
-            coarse = np.sum(pts[pts > eps] ** 2) / m2
-            diffs.append(fine - coarse)
+        idx, pts = _series_points(ref_limit, eps / 2, 4000, rng)
+        fine = np.bincount(idx, weights=pts**2, minlength=4000) / m2
+        coarse = np.bincount(idx, weights=np.where(pts > eps, pts**2, 0.0),
+                             minlength=4000) / m2
+        diffs = fine - coarse
         b_old, _ = truncation_bounds(ref_limit, eps)
         b_new, _ = truncation_bounds(ref_limit, eps / 2)
         assert 0 <= np.mean(diffs) <= b_old + b_new
@@ -161,23 +166,45 @@ class TestSampler:
             slack = 2e-3 * t
             assert abs(emp.mean() - closed) < 3 * stderr + slack
 
+    def test_consumers_pinned_to_kernel(self, ref_limit):
+        # rebuild S2 and S3 from the kernel's points on the same stream;
+        # V2 is then sqrt(sigma_A2 S3/(1-mu_A^3)) times the next normals,
+        # which is the scale mixture V2/V1 = k sqrt(U) N
+        p, eps, size = ref_limit, 0.02, 400
+        a, m, th = p.alpha, p.mu_A, p.theta
+        r2 = th * a * eps ** (2 - a) / (2 - a)
+        r3 = th * a * eps ** (3 - a) / (3 - a)
+        rng = np.random.default_rng(77)
+        idx, pts = _series_points(p, eps, size, rng)
+        s2 = np.bincount(idx, weights=pts**2, minlength=size) + r2
+        s3 = np.bincount(idx, weights=pts**3, minlength=size) + r3
+        normals = rng.standard_normal(size)
+
+        tab = sample_limit_pairs(p, eps, size, np.random.default_rng(77),
+                                 compensate=True)
+        np.testing.assert_allclose(tab["v1"], s2 / (1 - m**2), rtol=1e-12)
+        u = limit_u_samples(p, eps, size, np.random.default_rng(77))
+        np.testing.assert_allclose(u, th ** (1 / a) * s3 / s2**2, rtol=1e-12)
+        k = (1 - m**2) * math.sqrt(p.sigma_A2 / (1 - m**3)) \
+            * th ** (-1 / (2 * a))
+        np.testing.assert_allclose(tab["v2"] / tab["v1"] / (k * np.sqrt(u)),
+                                   normals, rtol=1e-12)
+
+    def test_draws_independent_of_chunk(self, ref_limit, monkeypatch):
+        outs = []
+        for chunk in (1, 2**20):
+            monkeypatch.setattr(limitlaw, "_CHUNK_POINTS", chunk)
+            outs.append((
+                sample_limit_pairs(ref_limit, 0.05, 200,
+                                   np.random.default_rng(5), compensate=True),
+                limit_u_samples(ref_limit, 0.05, 200,
+                                np.random.default_rng(5))))
+        (pairs_a, u_a), (pairs_b, u_b) = outs
+        assert pairs_a.tobytes() == pairs_b.tobytes()
+        assert u_a.tobytes() == u_b.tobytes()
+
 
 class TestUStatistic:
-    def test_single_point(self, ref_limit):
-        pval = 0.7
-        want = ref_limit.theta ** (1 / ref_limit.alpha) / pval
-        assert u_statistic(ref_limit, [pval]) == pytest.approx(want)
-
-    def test_homogeneity(self, ref_limit, rng):
-        pts = sample_poisson_points(ref_limit, 0.05, rng)
-        lam = 3.7
-        assert u_statistic(ref_limit, lam * pts) == \
-            pytest.approx(u_statistic(ref_limit, pts) / lam, rel=1e-12)
-
-    def test_requires_points(self, ref_limit):
-        with pytest.raises(ValueError):
-            u_statistic(ref_limit, [])
-
     def test_exponential_bound_small(self, ref_limit, rng):
         u = limit_u_samples(ref_limit, 0.01, 20000, rng)
         for x in (1.0, 1.5):
