@@ -243,6 +243,7 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
         files.append(path)
         seed_table = []
         summary["cdf_at_zero"] = vals[len(grid) // 2] if len(grid) % 2 else None
+        health = {"tol": limitlaw.CDF_TOL, **limitlaw.cf_rule_health(p)}
 
     elif experiment == "cf-table":
         p = _limit_params(cfg)
@@ -255,6 +256,7 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
         write_csv(path, ["s", "t", "re", "im"], rows)
         files.append(path)
         seed_table = []
+        health = {"tol": limitlaw.CF_RULE_TOL, **limitlaw.cf_rule_health(p)}
 
     elif experiment == "tail-validate":
         params = _model(cfg)

@@ -16,33 +16,46 @@ The same identity makes the ratio a scale mixture of normals,
 V2/V1 = k*sqrt(U)*N with U = theta^{1/alpha} S3/S2^2 and
 k = (1-mu_A^2)*sqrt(sigma_A2/(1-mu_A^3))*theta^{-1/(2 alpha)}.
 
-The joint characteristic function is
+The joint CF is phi(s, t) = exp(theta J) with st = s/(1-mu_A^2),
+tt = sigma_A2 t^2/(2(1-mu_A^3)) and
 
-    phi(s, t) = exp{ theta * int_0^inf (e^{g(y)} - 1) alpha y^{-alpha-1} dy },
-    g(y) = i*s*y^2/(1-mu_A^2) - sigma_A2*t^2*y^3 / (2*(1-mu_A^3)),
+    J = int_0^inf (e^{g(y)} - 1) alpha y^{-alpha-1} dy,  g(y) = i st y^2 - tt y^3.
 
-evaluated here by split quadrature, and the CDF of the ratio V2/V1 is
-recovered from it through a principal-value inversion formula that the
-conjugate symmetry phi(u*x, -u) = conj(phi(-u*x, u)) collapses to the
-one-sided real integral
+g is entire with Re g <= 0 for 0 <= arg y <= pi/6 (st >= 0; conj J for
+st < 0), so J is taken along the ray y = e^{i pi/8} rho, where the
+integrand decays with no oscillatory tail (Huybrechs & Vandewalle 2006).
+The exact scaling y -> lambda y, lambda = min(|st|^-1/2, tt^-1/3), maps
+every (st, tt) onto the compact set max(|st|, tt) = 1, which depends on
+alpha only.  One fixed Gauss-Legendre rule (rho = v^2 on (0, 1], with g
+in closed form; rho = v^{-1/alpha} on [1, inf)) covers it, certified
+once per alpha on first use: n nodes against 2n on a dense grid.
 
-    P(V2/V1 <= x) = 1/2 - (1/pi) int_0^inf Im phi(-u*x, u) / u du.
+The ratio CDF is the Gil-Pelaez integral (1951)
 
-The u -> 0 end of that integrand behaves like u^{alpha/2 - 1} (it blows
-up for x != 0 but stays integrable); substituting u = v^2 turns it into
-O(v^{alpha-1}) -> 0, which is how it is integrated below.
+    P(V2/V1 <= x) = 1/2 - (1/pi) int_0^inf Im phi(-u x, u) / u du,
+
+taken by adaptive Gauss-Kronrod in w, u = w^{2/alpha}, which makes the
+integrand finite at 0.  V2 is conditionally centred normal given V1, so
+F(0) = 1/2 and F(-x) = 1 - F(x) exactly and only x > 0 is integrated.
+A value outside [0, 1] by less than its certified error is projected
+onto it; any other failure raises QuadratureError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .quadrature import QuadratureError, euler_accelerated_sum, gauss_kronrod, \
-    panel_estimates, panel_nodes
+from .quadrature import (
+    QuadratureError,
+    euler_accelerated_sum,  # noqa: F401  (perfbench/spans.py patches it by this name)
+    gauss_kronrod,
+)
 
 __all__ = [
     "LimitParams",
@@ -51,6 +64,7 @@ __all__ = [
     "truncation_bounds",
     "cf_joint",
     "cf_marginals",
+    "cf_rule_health",
     "cdf_ratio",
 ]
 
@@ -193,137 +207,98 @@ def limit_u_samples(
 # ---------------------------------------------------------------------------
 # characteristic functions
 
-_CF_TOL = 1e-9
-_DAMP_LOG = 45.0  # e^-45 ~ 3e-20: where the damped tail is cut
+CF_RULE_TOL = 1e-11  # certified n-vs-2n error of the normalised exponent
+_RULE_NODES = (20, 40, 80, 160, 320)
+_CERT_POINTS = 257   # per edge of the normalised set
+_CF_CHUNK = 2**17    # (point, node) pairs per block: 2 MB per complex array
 
 
-def _eg_minus_1_minus_g(g):
-    """exp(g) - 1 - g, series-protected against cancellation near 0."""
-    g = np.asarray(g, dtype=np.complex128)
-    out = np.exp(g) - 1.0 - g
-    small = np.abs(g) < 1e-3
-    if np.any(small):
-        gs = g[small]
-        out[small] = gs**2 * (0.5 + gs * (1.0 / 6.0 + gs * (1.0 / 24.0
-                              + gs / 120.0)))
+class _CFRule(NamedTuple):
+    """J(st=a, tt=b) ~ lin2*a - lin3*b + sum_k w_k expm1(a*c2_k - b*c3_k)."""
+
+    n: int
+    c2: np.ndarray
+    c3: np.ndarray
+    w: np.ndarray
+    lin2: complex
+    lin3: complex
+    error: float = math.nan   # certified n-vs-2n error
+    margin: float = math.nan  # lower bound of -Re J on the normalised set
+
+
+def _ray_rule(alpha: float, n: int) -> _CFRule:
+    """n Gauss-Legendre nodes on each piece of the ray y = e^{i pi/8} rho.
+
+    On (0, 1] (rho = v^2) the linear part g of e^g - 1 is taken in closed
+    form less the rule's own sum of it.  On [1, inf) (rho = v^{-1/alpha})
+    the weight alpha rho^{-alpha-1} drho is -dv, and the rule's sum of the
+    weights cancels the closed-form integral of the "-1" term.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    v, w = 0.5 * (x + 1.0), 0.5 * w
+    rot = np.exp(1j * math.pi / 8.0)
+    turn = rot ** -alpha  # alpha y^{-alpha-1} dy = alpha turn rho^{-alpha-1} drho
+    w_head = w * 2.0 * alpha * turn * v ** (-2.0 * alpha - 1.0)
+    y = rot * np.concatenate([v * v, v ** (-1.0 / alpha)])
+    c2, c3 = 1j * y * y, y**3
+    lin2 = 1j * alpha * rot ** (2.0 - alpha) / (2.0 - alpha) - w_head @ c2[:n]
+    lin3 = alpha * rot ** (3.0 - alpha) / (3.0 - alpha) - w_head @ c3[:n]
+    return _CFRule(n, c2, c3, np.concatenate([w_head, w * turn]), lin2, lin3)
+
+
+def _normalised_exponent(rule: _CFRule, a, b) -> np.ndarray:
+    """J(st=a, tt=b) by ``rule`` over 1-d arrays a >= 0, b >= 0."""
+    out = rule.lin2 * a - rule.lin3 * b
+    rows = max(1, _CF_CHUNK // len(rule.w))
+    for lo in range(0, len(a), rows):
+        g = np.multiply.outer(a[lo:lo + rows], rule.c2)
+        g -= np.multiply.outer(b[lo:lo + rows], rule.c3)
+        out[lo:lo + rows] += np.einsum("ij,j->i", np.expm1(g, out=g), rule.w)
     return out
 
 
-def _phase_breaks(lo, hi, s_abs, quadratic=True, cap=256):
-    """Breakpoints where the phase s*y^2 (or s*r) advances by pi."""
-    if s_abs <= 0:
-        return np.array([lo, hi])
-    if quadratic:
-        k0 = math.ceil(s_abs * lo**2 / math.pi)
-        k1 = math.floor(s_abs * hi**2 / math.pi)
-        ks = np.arange(k0, k1 + 1)
-        if len(ks) > cap:
-            ks = ks[np.linspace(0, len(ks) - 1, cap).astype(int)]
-        pts = np.sqrt(ks * math.pi / s_abs)
-    else:
-        k0 = math.ceil(s_abs * lo / math.pi)
-        k1 = math.floor(s_abs * hi / math.pi)
-        ks = np.arange(k0, k1 + 1)
-        if len(ks) > cap:
-            ks = ks[np.linspace(0, len(ks) - 1, cap).astype(int)]
-        pts = ks * math.pi / s_abs
-    return np.unique(np.concatenate([[lo], pts, [hi]]))
+@functools.lru_cache(maxsize=64)
+def _cf_rule(alpha: float) -> _CFRule:
+    """The first rule within CF_RULE_TOL of twice its nodes (built on use).
 
-
-def _cf_exponent(p: LimitParams, s: float, t: float, tol: float = _CF_TOL):
-    """The Poisson integral J(s, t) with phi = exp(theta * J).
-
-    Split as J = [analytic linear part on (0,1]] + [smooth remainder on
-    (0,1]] + [tail integral on [1, inf) minus 1]; the tail switches
-    between adaptive panels (strong damping) and half-period
-    segmentation with accelerated alternating summation (long
-    oscillatory range).
+    The two are compared on a dense grid of the normalised set
+    max(|st|, tt) = 1; its st >= 0 half suffices by conjugation.  -Re J
+    is least at the grid point (st, tt) = (1, 0), which gives the margin.
     """
-    a, m = p.alpha, p.mu_A
-    st = s / (1.0 - m**2)
-    tt = p.sigma_A2 * t * t / (2.0 * (1.0 - m**3))
-    if st == 0.0 and tt == 0.0:
-        return 0.0 + 0.0j
-
-    def g_of(y):
-        return 1j * st * y * y - tt * y**3
-
-    # (0,1]: int g * alpha y^{-alpha-1} dy in closed form ...
-    head = a * (1j * st / (2.0 - a) - tt / (3.0 - a))
-
-    # ... plus the smooth O(y^{3-alpha}) remainder by adaptive panels
-    def f_head(y):
-        out = np.zeros(len(y), dtype=np.complex128)
-        pos = y > 0
-        yp = y[pos]
-        out[pos] = _eg_minus_1_minus_g(g_of(yp)) * a * yp ** (-a - 1.0)
-        return out
-
-    breaks = _phase_breaks(0.0, 1.0, abs(st), quadratic=True)
-    head_quad, _ = gauss_kronrod(f_head, 0.0, 1.0, 0.25 * tol, initial=breaks)
-
-    tail = _tail_integral(p, st, tt, 0.5 * tol)
-    return head + head_quad + (tail - 1.0)
+    edge = np.linspace(0.0, 1.0, _CERT_POINTS)
+    a = np.concatenate([np.ones_like(edge), edge])
+    b = np.concatenate([edge, np.ones_like(edge)])
+    for n in _RULE_NODES:
+        fine = _normalised_exponent(_ray_rule(alpha, 2 * n), a, b)
+        rule = _ray_rule(alpha, n)
+        err = float(np.max(np.abs(_normalised_exponent(rule, a, b) - fine)))
+        if err <= CF_RULE_TOL:
+            return rule._replace(error=err, margin=np.min(-fine.real) - err)
+    raise QuadratureError(f"CF rule: {n} nodes differ from {2 * n} by "
+                          f"{err:.2e} > {CF_RULE_TOL:g} at alpha = {alpha}")
 
 
-def _tail_integral(p: LimitParams, st: float, tt: float, tol: float):
-    """int_1^inf exp(i st y^2 - tt y^3) alpha y^{-alpha-1} dy."""
-    a = p.alpha
+def cf_rule_health(p: LimitParams) -> dict:
+    """Node count and certified n-vs-2n error of the CF rule at ``p``."""
+    rule = _cf_rule(p.alpha)
+    return {"cf_nodes": rule.n, "cf_rule_error": rule.error}
 
-    def f_tail(y):
-        return np.exp(1j * st * y * y - tt * y**3) * a * y ** (-a - 1.0)
 
-    if tt > 0.0:
-        ymax = (_DAMP_LOG / tt) ** (1.0 / 3.0)
-        if ymax <= 1.0:
-            return 0.0 + 0.0j
-        n_half = abs(st) * (ymax**2 - 1.0) / math.pi
-        if n_half < 48.0:
-            breaks = _phase_breaks(1.0, ymax, abs(st), quadratic=True)
-            # add geometric points so wide low-oscillation panels resolve
-            # the algebraic/exponential decay
-            geo = np.geomspace(1.0, ymax, 24)
-            breaks = np.unique(np.concatenate([breaks, geo]))
-            val, _ = gauss_kronrod(f_tail, 1.0, ymax, tol, initial=breaks)
-            return val
-        rmax = ymax**2
-    else:
-        if st == 0.0:
-            return 1.0 + 0.0j
-        rmax = math.inf
+def _cf_exponent(p: LimitParams, s, t) -> np.ndarray:
+    """The Poisson integral J(s, t), phi = exp(theta J), over arrays.
 
-    # substitute r = y^2: int_1^rmax e^{i st r - tt r^{3/2}} (a/2) r^{-a/2-1} dr,
-    # cut into half-periods of the now-linear phase and accelerate the
-    # alternating segment series
-    s_abs = abs(st)
-    h = math.pi / s_abs
-
-    def f_r(r):
-        return np.exp(1j * st * r - tt * r**1.5) * 0.5 * a * r ** (-0.5 * a - 1.0)
-
-    # first half-period adaptively (it can span many decades when h >> 1)
-    r1 = 1.0 + h
-    geo = np.geomspace(1.0, r1, 32)
-    first, _ = gauss_kronrod(f_r, 1.0, r1, 0.25 * tol, initial=geo)
-
-    n_seg = 64
-    while True:
-        edges = r1 + h * np.arange(n_seg + 1)
-        if math.isfinite(rmax):
-            edges = edges[edges <= rmax + h]
-        nodes, half = panel_nodes(edges[:-1], edges[1:])
-        vals = f_r(nodes.ravel()).reshape(nodes.shape)
-        k15, perr = panel_estimates(vals, half)
-        # drop segments already beyond the damping cutoff
-        try:
-            acc, move = euler_accelerated_sum(k15, 0.25 * tol)
-        except QuadratureError:
-            acc, move = None, math.inf
-        if acc is not None and move + perr.sum() <= 0.75 * tol:
-            return first + acc
-        if n_seg >= 4096:
-            raise QuadratureError("oscillatory tail did not converge")
-        n_seg *= 2
+    With L = max(|st|^{1/2}, tt^{1/3}), J(st, tt) = L^alpha J(st/L^2, tt/L^3)
+    lies on the normalised set, and J(-st, tt) = conj J(st, tt).
+    """
+    m = p.mu_A
+    st = np.asarray(s, dtype=np.float64) / (1.0 - m**2)
+    tt = p.sigma_A2 * np.square(t, dtype=np.float64) / (2.0 * (1.0 - m**3))
+    st, tt = np.broadcast_arrays(st, tt)
+    big = np.maximum(np.sqrt(np.abs(st)), np.cbrt(tt))
+    safe = np.where(big > 0.0, big, 1.0)  # J(0, 0) = 0 either way
+    jn = _normalised_exponent(_cf_rule(p.alpha), np.abs(st / safe**2).ravel(),
+                              (tt / safe**3).ravel()).reshape(st.shape)
+    return big**p.alpha * np.where(st < 0.0, np.conj(jn), jn)
 
 
 def cf_log(p: LimitParams, s: float, t: float) -> complex:
@@ -334,7 +309,7 @@ def cf_log(p: LimitParams, s: float, t: float) -> complex:
     cf(a^{2/alpha} s, a^{3/(2 alpha)} t) = exp(a * cf_log(s, t))
     directly checkable.
     """
-    return p.theta * _cf_exponent(p, float(s), float(t))
+    return complex(p.theta * _cf_exponent(p, float(s), float(t)))
 
 
 def cf_joint(p: LimitParams, s: float, t: float) -> complex:
@@ -352,34 +327,58 @@ def cf_marginals(p: LimitParams, s: float, t: float) -> tuple[complex, float]:
 
 
 # ---------------------------------------------------------------------------
-# ratio CDF by principal-value inversion
+# ratio CDF by Gil-Pelaez inversion
 
-_CDF_TOL = 1e-4
+CDF_TOL = 1e-4
+_DAMP_LOG = 45.0  # |phi| <= e^-45 beyond the cut of the outer integral
 
 
-def cdf_ratio(p: LimitParams, x: float, tol: float = _CDF_TOL) -> float:
-    """P(V2/V1 <= x) from the joint CF.
+def cdf_ratio(p: LimitParams, x: float, tol: float = CDF_TOL) -> float:
+    """P(V2/V1 <= x) from the joint CF, certified to within ``tol``.
 
-    One-sided form of the principal-value inversion (see module
-    docstring); integrated in v with u = v^2 so the integrand vanishes
-    at the origin.
+    Only x > 0 is integrated (see module docstring).  The certified error
+    is the panels' error plus closed-form bounds for the CF rule and the
+    cut; QuadratureError names the stage that cannot keep within ``tol``.
     """
     x = float(x)
-    a = p.alpha
-    u_max = (_DAMP_LOG / p.C2) ** (1.5 / a)
-    v_max = math.sqrt(u_max)
-    cf_tol = min(_CF_TOL, 1e-3 * tol)
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
+    if x == 0.0:
+        return 0.5
+    cdf = 1.0 if math.isinf(x) else _cdf_positive(p, abs(x), tol)
+    return cdf if x > 0.0 else 1.0 - cdf
 
-    def f(v):
-        out = np.zeros(len(v))
-        for i, vi in enumerate(v):
-            if vi <= 0.0:
-                continue
-            u = vi * vi
-            phi = np.exp(p.theta * _cf_exponent(p, -u * x, u, cf_tol))
-            out[i] = 2.0 * phi.imag / vi
-        return out
 
-    val, _ = gauss_kronrod(f, 0.0, v_max, 0.25 * tol * math.pi,
-                           initial=np.linspace(0.0, v_max, 17))
-    return 0.5 - float(np.real(val)) / math.pi
+def _cdf_positive(p: LimitParams, x: float, tol: float) -> float:
+    """cdf_ratio at a finite x > 0."""
+    a, m = p.alpha, p.mu_A
+    rule = _cf_rule(a)
+    # |phi| <= exp(-theta L^alpha margin), and L^alpha grows at least like
+    # u^{alpha/2} along (-u x, u): the rule's error moves the integral of
+    # |d phi|/u by at most 2 err/(alpha (margin - err))
+    cf_err = 2.0 * rule.error / (math.pi * a * (rule.margin - rule.error))
+    # cut where that bound or phi_V2(u) >= |phi| falls to e^-45
+    k1 = p.theta * rule.margin * (x / (1.0 - m**2)) ** (a / 2.0)
+    w_max = min(_DAMP_LOG / k1, (_DAMP_LOG / p.C2) ** 0.75)
+    cut_err = 2.0 * math.exp(-_DAMP_LOG) / (_DAMP_LOG * math.pi * a)
+    budget = tol - cf_err - cut_err
+    if budget <= 0.5 * tol:
+        raise QuadratureError(f"cdf_ratio: CF rule error bound "
+                              f"{cf_err + cut_err:.2e} exceeds tol/2 = {tol / 2:g}")
+
+    def f(w):
+        u = w ** (2.0 / a)
+        return (2.0 / a) * np.exp(p.theta * _cf_exponent(p, -u * x, u)).imag / w
+
+    try:
+        val, err = gauss_kronrod(f, 0.0, w_max, math.pi * budget,
+                                 initial=np.linspace(0.0, w_max, 9))
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"cdf_ratio: Gil-Pelaez integral at x = {x:g}: {exc}") from None
+    cdf = 0.5 - float(np.real(val)) / math.pi
+    certified = err / math.pi + cf_err + cut_err
+    if not -certified <= cdf <= 1.0 + certified:
+        raise QuadratureError(f"cdf_ratio: {cdf!r} at x = {x:g} is outside "
+                              f"[0, 1] by more than its error {certified:.2e}")
+    return min(max(cdf, 0.0), 1.0)

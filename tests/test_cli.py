@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gwi import limitlaw
 from gwi.cli import main, parse_config, write_csv
 from gwi.limitlaw import LimitParams, truncation_bounds
 
@@ -172,6 +173,14 @@ class TestEstimate:
         assert len(rows) == 26
 
 
+def _check_rule_health(out, tol):
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    rule = limitlaw.cf_rule_health(LimitParams(1.5, 0.5, 0.5))  # the defaults
+    assert health == {"tol": tol, **rule}
+    assert set(rule) == {"cf_nodes", "cf_rule_error"}
+    assert 0 < health["cf_rule_error"] <= limitlaw.CF_RULE_TOL
+
+
 class TestTables:
     def test_cdf_table_monotone(self, runner, tmp_path):
         out = tmp_path / "cdf"
@@ -183,6 +192,7 @@ class TestTables:
         assert len(vals) == 9
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
         assert vals[4] == pytest.approx(0.5, abs=1e-3)  # x = 0
+        _check_rule_health(out, limitlaw.CDF_TOL)
 
     def test_cf_table(self, runner, tmp_path):
         out = tmp_path / "cf"
@@ -196,6 +206,7 @@ class TestTables:
         assert table[(0.0, 0.0)] == pytest.approx((1.0, 0.0), abs=1e-9)
         re, im = table[(1.0, 0.0)]
         assert re**2 + im**2 < 1.0
+        _check_rule_health(out, limitlaw.CF_RULE_TOL)
 
     def test_karamata(self, runner, tmp_path):
         out = tmp_path / "kar"

@@ -11,16 +11,34 @@ from gwi.limitlaw import (
     cf_joint,
     cf_log,
     cf_marginals,
+    cf_rule_health,
     limit_u_samples,
     sample_limit_pairs,
     truncation_bounds,
 )
+from gwi.quadrature import QuadratureError
 
 # mpmath oracles at (alpha=1.5, mu_A=0.5)
 C1_ORACLE = 1.11290335080428138
 C2_HALF = 0.612454142005595217    # sigma_A2 = 0.5
 C2_QUARTER = 0.433070476977945122  # sigma_A2 = 0.25
 DEP_GAP_ORACLE = 0.107343202927    # |cf(1,1) - product| at sigma_A2 = 0.25
+
+# cf_log at ((alpha, mu_A, sigma_A2), (s, t)), frozen from the earlier
+# real-axis evaluator (adaptive Gauss-Kronrod panels with an Euler-summed
+# oscillatory tail), which converged at each of these points.  The first
+# and fourth agree with mpmath.quad on the real axis (30 digits) to
+# 4e-13 and 1e-13 relative.
+CF_LOG_ORACLE = [
+    ((1.5, 0.5, 0.5), (1.0, 1.0), -1.1785760908749467 + 2.5582980614134407j),
+    ((1.5, 0.5, 0.5), (-2.0, 0.5), -1.879600813444861 - 4.4997720494954265j),
+    ((1.5, 0.5, 0.5), (0.3, 3.0), -1.8506003838582588 + 0.614110746421212j),
+    ((1.1, 0.3, 0.7), (2.0, 1.0), -1.456938563327514 + 1.620408583948062j),
+    ((1.9, 0.8, 0.2), (-1.0, 2.0), -1.5698875968793407 - 17.516857058224797j),
+    ((1.3, 0.5, 0.5), (5.0, 0.2), -2.711690095117898 + 4.423751132008983j),
+    ((1.7, 0.9, 0.9), (-0.5, 0.1), -0.5428862673870268 - 2.2560966685187807j),
+    ((1.05, 0.05, 0.05), (3.0, 0.7), -2.1592041375231266 + 2.333584652577959j),
+]
 
 
 class TestLimitParams:
@@ -81,6 +99,24 @@ class TestCharacteristicFunctions:
                     < 1e-6
                 assert abs(cf_joint(p, 0.0, v) - cf_marginals(p, 0.0, v)[1]) \
                     < 1e-6
+
+    @pytest.mark.parametrize("params, st, want", CF_LOG_ORACLE)
+    def test_frozen_oracle(self, params, st, want):
+        assert cf_log(LimitParams(*params), *st) == pytest.approx(want, rel=1e-9)
+
+    def test_far_v1_axis(self, ref_limit):
+        # the real-axis evaluator raised here; the closed form is exact
+        p, s = ref_limit, 1e4
+        closed = -p.C1 * s ** (p.alpha / 2) \
+            * (1 - 1j * math.tan(math.pi * p.alpha / 4))
+        assert cf_log(p, s, 0.0) == pytest.approx(closed, rel=1e-9)
+        assert cf_joint(p, s, 0.0) == pytest.approx(
+            cf_marginals(p, s, 0.0)[0], rel=1e-9)
+
+    def test_rule_health(self, ref_limit):
+        health = cf_rule_health(ref_limit)
+        assert health["cf_nodes"] in limitlaw._RULE_NODES
+        assert 0 < health["cf_rule_error"] <= limitlaw.CF_RULE_TOL
 
     def test_dependence_gap(self):
         p = LimitParams(1.5, 0.5, 0.25)
@@ -162,7 +198,8 @@ class TestSampler:
         for t in (0.5, 1.0, 2.0):
             emp = np.exp(1j * t * tab["v2"])
             _, closed = cf_marginals(ref_limit, 0.0, t)
-            stderr = np.abs(emp - emp.mean()).std() / math.sqrt(len(tab))
+            # standard error of a complex mean
+            stderr = math.sqrt(np.mean(np.abs(emp - emp.mean())**2) / len(tab))
             slack = 2e-3 * t
             assert abs(emp.mean() - closed) < 3 * stderr + slack
 
@@ -235,3 +272,28 @@ class TestCdfRatio:
         for x in (-0.5, 0.2, 0.5):
             ecdf = np.searchsorted(ratio, x, side="right") / len(ratio)
             assert abs(cdf_ratio(ref_limit, x) - ecdf) < 0.015
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.7, 1.95])
+    @pytest.mark.parametrize("mu_A", [0.05, 0.5, 0.95])
+    def test_range_sweep(self, alpha, mu_A):
+        p = LimitParams(alpha, mu_A, mu_A)
+        grid = np.linspace(-2.0, 2.0, 11)
+        vals = [cdf_ratio(p, x) for x in grid]
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert cdf_ratio(p, 0.0) == 0.5
+        assert all(cdf_ratio(p, x) + cdf_ratio(p, -x) == 1.0 for x in grid)
+        assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("params, x", [
+        ((1.5, 0.5, 0.5), 20.0), ((1.5, 0.5, 0.5), 100.0),
+        ((1.5, 0.5, 0.5), -2.0), ((1.01, 0.5, 0.5), 1.0),
+        ((1.99, 0.5, 0.5), 1.0), ((1.5, 0.99, 0.99), 1.0)])
+    def test_former_failures(self, params, x):
+        # each of these used to leave [0, 1] or raise
+        v = cdf_ratio(LimitParams(*params), x)
+        assert 0.0 <= v <= 1.0
+        assert (v > 0.5) == (x > 0)
+
+    def test_unreachable_tol_raises(self, ref_limit):
+        with pytest.raises(QuadratureError, match="CF rule"):
+            cdf_ratio(ref_limit, 1.0, tol=1e-15)
