@@ -1,13 +1,14 @@
 """Experiment harness: seeded, reproducible runs emitting CSV/JSON.
 
 Every experiment is fully determined by a flat key=value config file
-plus the command-line overrides; outputs are byte-stable across reruns
+plus the command-line seed; outputs are byte-stable across reruns
 and worker counts, and each run writes a manifest recording the
 effective config, seed table, and checksums of the emitted files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,22 +25,10 @@ from scipy import stats as sp_stats
 from . import distributions as dist
 from . import estimator, limitlaw, process, tailproc
 
-_FLOAT_KEYS = {
-    "alpha", "mu_A", "c", "eps", "tol", "quantile", "x_min", "x_max",
-    "beta", "x",
-}
-_INT_KEYS = {"n", "reps", "seed", "x_points", "chains"}
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
-# Open intervals (lo, hi) the float keys must lie in, and the least
-# value of each int key.
-_OPEN_RANGES = {
-    "alpha": (1.0, 2.0), "mu_A": (0.0, 1.0), "c": (0.0, 1.0),
-    "eps": (0.0, math.inf), "tol": (0.0, 1.0), "quantile": (0.0, 1.0),
-}
-_INT_MINIMA = {"n": 1, "reps": 1, "x_points": 1, "chains": 1, "seed": 0}
-
+# Each key's value is parsed into the type of its default.
 _DEFAULTS = {
     "alpha": 1.5,
     "mu_A": 0.5,
@@ -49,9 +38,8 @@ _DEFAULTS = {
     "reps": 100,
     "eps": 0.01,
     "seed": 0,
-    "a_n_mode": "analytic",
     "tol": 1e-6,
-    "compensate": "false",
+    "compensate": False,
     "quantile": 0.999,
     "chains": 100,
     "x_min": -5.0,
@@ -63,13 +51,41 @@ _DEFAULTS = {
     "x": 1000.0,
 }
 
+# Open intervals (lo, hi) the float keys must lie in, and the least
+# value of each int key.
+_OPEN_RANGES = {
+    "alpha": (1.0, 2.0), "mu_A": (0.0, 1.0), "c": (0.0, 1.0),
+    "eps": (0.0, math.inf), "tol": (0.0, 1.0), "quantile": (0.0, 1.0),
+    "x": (0.0, math.inf), "beta": (-math.inf, math.inf),
+    "x_min": (-math.inf, math.inf), "x_max": (-math.inf, math.inf),
+}
+_INT_MINIMA = {"n": 1, "reps": 1, "x_points": 1, "chains": 1, "seed": 0}
+
+
+def _floats(spec: str) -> list[float]:
+    return [float(v) for v in spec.split(",") if v.strip()]
+
+
+_PARSERS = {bool: lambda word: _BOOL_WORDS[word.lower()], int: int,
+            float: float, str: str}
+_TYPE_NAMES = {bool: "one of true/false/1/0/yes/no", int: "of type int",
+               float: "of type float"}
+
 
 def parse_config(path: str | None) -> dict:
     """Flat key=value config; '#' starts a comment.
 
-    Only the keys of ``_DEFAULTS`` are accepted; an unknown key, a value
-    of the wrong type or one outside its range raises ``click.UsageError``
-    naming the key.  ``compensate`` is true/false/1/0/yes/no, in any case.
+    Only the keys of ``_DEFAULTS`` are accepted, each parsed into the
+    type of its default; an unknown key, a value of the wrong type or one
+    outside its range raises ``click.UsageError`` naming the key.
+    ``compensate`` is true/false/1/0/yes/no, in any case; ``offspring``
+    is bernoulli, poisson or geometric; ``s_values`` and ``t_values``
+    are comma-separated floats.
+
+    ``tol`` is the truncation tolerance of the stationary start (the mean
+    remainder of its backward series).  It does not set the accuracy of
+    ``cdf-table`` or ``cf-table``: their values are certified to the
+    ``health.tol`` recorded in their manifest.
     """
     cfg = dict(_DEFAULTS)
     if path:
@@ -82,21 +98,13 @@ def parse_config(path: str | None) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _DEFAULTS:
                 raise click.UsageError(f"unknown config key {key!r}")
-            cfg[key] = val
-    for keys, kind in ((_FLOAT_KEYS, float), (_INT_KEYS, int)):
-        for key in keys:
+            kind = type(_DEFAULTS[key])
             try:
-                cfg[key] = kind(cfg[key])
-            except ValueError:
+                cfg[key] = _PARSERS[kind](val)
+            except (ValueError, KeyError):
                 raise click.UsageError(
-                    f"config key {key!r} must be of type {kind.__name__}, "
-                    f"got {cfg[key]!r}") from None
-    word = str(cfg["compensate"]).lower()
-    if word not in _BOOL_WORDS:
-        raise click.UsageError(
-            f"config key 'compensate' must be one of true/false/1/0/yes/no, "
-            f"got {cfg['compensate']!r}")
-    cfg["compensate"] = _BOOL_WORDS[word]
+                    f"config key {key!r} must be {_TYPE_NAMES[kind]}, "
+                    f"got {val!r}") from None
     for key, (lo, hi) in _OPEN_RANGES.items():
         if not lo < cfg[key] < hi:
             raise click.UsageError(f"config key {key!r} must lie in "
@@ -105,6 +113,16 @@ def parse_config(path: str | None) -> dict:
         if cfg[key] < least:
             raise click.UsageError(f"config key {key!r} must be >= {least}, "
                                    f"got {cfg[key]}")
+    if cfg["offspring"].lower() not in dist.OffspringLaw.FAMILIES:
+        raise click.UsageError(
+            f"config key 'offspring' must be one of "
+            f"{'/'.join(dist.OffspringLaw.FAMILIES)}, got {cfg['offspring']!r}")
+    for key in ("s_values", "t_values"):
+        try:
+            _floats(cfg[key])
+        except ValueError:
+            raise click.UsageError(f"config key {key!r} must be comma-separated"
+                                   f" floats, got {cfg[key]!r}") from None
     return cfg
 
 
@@ -116,11 +134,17 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str] | tuple[str, ...], rows) -> Path:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
+
+
+def _write_json(path: Path, record: dict) -> Path:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _model(cfg) -> process.ModelParams:
@@ -136,14 +160,156 @@ def _limit_params(cfg) -> limitlaw.LimitParams:
                                 sigma_A2=off.sigma_A2)
 
 
-def _floats(spec) -> list[float]:
-    if isinstance(spec, str):
-        return [float(v) for v in spec.split(",") if v.strip()]
-    return [float(v) for v in np.atleast_1d(spec)]
+# ---------------------------------------------------------------------------
+# experiments: fn(cfg, out_dir, workers) -> (files, seed_table, summary, health)
+
+def _simulate(cfg, out_dir, workers):
+    """One stationary path with its residuals (trajectory.csv)."""
+    params = _model(cfg)
+    seed = cfg["seed"]
+    rng = np.random.default_rng([seed, 0])
+    init = process.stationary_init(params, cfg["tol"], rng)
+    traj = process.simulate(params, cfg["n"], init, rng)
+    path = out_dir / "trajectory.csv"
+    with open(path, "w", newline="\n") as fh:
+        fh.write("i,x,m\n")
+        fh.write(f"0,{traj.x[0]},\n")
+        for i in range(1, len(traj.x)):
+            fh.write(f"{i},{traj.x[i]},{_fmt(traj.m[i - 1])}\n")
+    meta = _write_json(out_dir / "trajectory_meta.json", {
+        "alpha": cfg["alpha"], "mu_A": cfg["mu_A"], "c": cfg["c"],
+        "offspring": cfg["offspring"], "mu_B": params.mu_B,
+        "n": cfg["n"], "seed": seed, "init": int(init),
+        "init_mode": "stationary-series", "tol": cfg["tol"],
+    })
+    return [path, meta], [seed], {"init": int(init)}, None
 
 
-def _manifest(out_dir: Path, cfg: dict, experiment: str, files: list[Path],
-              t0: float, seed_table, health: dict | None) -> Path:
+def _estimate(cfg, out_dir, workers):
+    """CLS replications of the scaled estimation error (replications.csv)."""
+    table = estimator.replication_experiment(
+        _model(cfg), cfg["n"], cfg["reps"], cfg["seed"], init_tol=cfg["tol"],
+        workers=workers)
+    path = write_csv(out_dir / "replications.csv", table.dtype.names,
+                     table.tolist())
+    return ([path], estimator.replication_seeds(cfg["reps"], cfg["seed"]),
+            {"defined_fraction": float(np.mean(table["defined"]))}, None)
+
+
+def _limit_sample(cfg, out_dir, workers):
+    """(V1, V2) draws from the Poisson series (limit_samples.csv)."""
+    p = _limit_params(cfg)
+    rng = np.random.default_rng([cfg["seed"], 0])
+    table = limitlaw.sample_limit_pairs(
+        p, cfg["eps"], cfg["reps"], rng, compensate=cfg["compensate"])
+    path = write_csv(out_dir / "limit_samples.csv", table.dtype.names,
+                     table.tolist())
+    mean_terms = float(np.mean(table["terms_used"]))
+    v1_mean, v2_sd = limitlaw.truncation_bounds(p, cfg["eps"])
+    health = {"eps": cfg["eps"], "compensate": cfg["compensate"],
+              "trunc_v1_mean_bound": v1_mean, "trunc_v2_sd_bound": v2_sd,
+              "mean_terms_used": mean_terms,
+              "min_terms_used": int(np.min(table["terms_used"]))}
+    return [path], [cfg["seed"]], {"mean_terms": mean_terms}, health
+
+
+def _cdf_table(cfg, out_dir, workers):
+    """CDF of V2/V1 on a grid, by CF inversion (cdf.csv)."""
+    p = _limit_params(cfg)
+    grid = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_points"])
+    vals = [limitlaw.cdf_ratio(p, float(x)) for x in grid]
+    path = write_csv(out_dir / "cdf.csv", ["x", "cdf"], zip(grid, vals))
+    summary = {"cdf_at_zero": vals[len(grid) // 2] if len(grid) % 2 else None}
+    health = {"tol": limitlaw.CDF_TOL, **limitlaw.cf_rule_health(p)}
+    return [path], [], summary, health
+
+
+def _cf_table(cfg, out_dir, workers):
+    """Joint CF of (V1, V2) on an (s, t) grid (cf.csv)."""
+    p = _limit_params(cfg)
+    rows = []
+    for s in _floats(cfg["s_values"]):
+        for t in _floats(cfg["t_values"]):
+            phi = limitlaw.cf_joint(p, s, t)
+            rows.append((s, t, phi.real, phi.imag))
+    path = write_csv(out_dir / "cf.csv", ["s", "t", "re", "im"], rows)
+    health = {"tol": limitlaw.CF_RULE_TOL, **limitlaw.cf_rule_health(p)}
+    return [path], [], {}, health
+
+
+def _tail_validate(cfg, out_dir, workers):
+    """Conditional laws after an exceedance vs the tail process."""
+    params = _model(cfg)
+    paths = tailproc.run_stationary_batch(
+        params, cfg["n"], cfg["chains"], [cfg["seed"], 0], init_tol=cfg["tol"])
+    report = tailproc.validate_pseudo_tail(
+        params, paths, quantile=cfg["quantile"])
+    path = _write_json(out_dir / "tail_report.json", {
+        "statistic": "pseudo-tail conditional laws",
+        **dataclasses.asdict(report),
+        "analytic": {"mean_ratio": params.mu_A},
+    })
+    return [path], [cfg["seed"]], {"n_events": report.n_events}, None
+
+
+def _laplace_validate(cfg, out_dir, workers):
+    """Laplace functional of the exceedance point process vs its limit."""
+    params = _model(cfg)
+    a_n = process.scaling(params, cfg["n"]).a_n
+    report = tailproc.laplace_functional_gap(
+        params, cfg["eps"], _floats(cfg["s_values"]), cfg["n"], a_n,
+        cfg["reps"], [cfg["seed"], 0], init_tol=cfg["tol"])
+    path = _write_json(out_dir / "laplace_report.json", {
+        "statistic": "exceedance Laplace functional",
+        "eps": cfg["eps"], "n": cfg["n"], "a_n": a_n,
+        "reps": cfg["reps"],
+        "per_s": {str(k): v for k, v in report.items()},
+    })
+    return [path], [cfg["seed"]], {}, None
+
+
+def _karamata(cfg, out_dir, workers):
+    """Truncated-moment tail ratio of the exact Pareto law vs its limit."""
+    alpha, beta, x = cfg["alpha"], cfg["beta"], cfg["x"]
+    tail = dist.pareto_tail_cdf(alpha)
+    mom = dist.pareto_truncated_moment(alpha, below=beta >= alpha)
+    path = _write_json(out_dir / "karamata.json", {
+        "statistic": "truncated-moment tail ratio (exact Pareto)",
+        "alpha": alpha, "beta": beta, "x": x,
+        "empirical": dist.karamata_ratio(beta, alpha, x, tail, mom),
+        "analytic": dist.karamata_limit(beta, alpha),
+    })
+    return [path], [], {}, None
+
+
+EXPERIMENTS = {
+    "simulate": _simulate,
+    "estimate": _estimate,
+    "limit-sample": _limit_sample,
+    "cdf-table": _cdf_table,
+    "cf-table": _cf_table,
+    "tail-validate": _tail_validate,
+    "laplace-validate": _laplace_validate,
+    "karamata": _karamata,
+}
+
+
+def _build_id() -> str:
+    try:
+        from importlib.metadata import version
+        return "gwi " + version("gwi")
+    except Exception:  # pragma: no cover
+        return "gwi unknown"
+
+
+def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
+    """Run one experiment of ``EXPERIMENTS``; returns a summary dict."""
+    if experiment not in EXPERIMENTS:
+        raise click.UsageError(f"unknown experiment {experiment!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.time()
+    files, seed_table, summary, health = EXPERIMENTS[experiment](
+        cfg, out_dir, workers)
     manifest = {
         "experiment": experiment,
         "config": {k: (v if isinstance(v, (int, float, str)) else str(v))
@@ -158,192 +324,10 @@ def _manifest(out_dir: Path, cfg: dict, experiment: str, files: list[Path],
     }
     if health is not None:
         manifest["health"] = health
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _build_id() -> str:
-    try:
-        from importlib.metadata import version
-        return "gwi " + version("gwi")
-    except Exception:  # pragma: no cover
-        return "gwi unknown"
-
-
-def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
-    """Dispatch one experiment; returns a summary dict."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
-    seed = cfg["seed"]
-    files: list[Path] = []
-    seed_table: object = [seed]
-    summary: dict = {}
-    health: dict | None = None
-
-    if experiment == "simulate":
-        params = _model(cfg)
-        rng = np.random.default_rng([seed, 0])
-        init = process.stationary_init(params, cfg["tol"], rng)
-        traj = process.simulate(params, cfg["n"], init, rng, seed=seed)
-        path = out_dir / "trajectory.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write("i,x,m\n")
-            fh.write(f"0,{traj.x[0]},\n")
-            for i in range(1, len(traj.x)):
-                fh.write(f"{i},{traj.x[i]},{_fmt(traj.m[i - 1])}\n")
-        files.append(path)
-        meta = out_dir / "trajectory_meta.json"
-        meta.write_text(json.dumps({
-            "alpha": cfg["alpha"], "mu_A": cfg["mu_A"], "c": cfg["c"],
-            "offspring": cfg["offspring"], "mu_B": params.mu_B,
-            "n": cfg["n"], "seed": seed, "init": int(init),
-            "init_mode": "stationary-series", "tol": cfg["tol"],
-        }, indent=2, sort_keys=True) + "\n")
-        files.append(meta)
-        summary["init"] = int(init)
-
-    elif experiment == "estimate":
-        params = _model(cfg)
-        table = estimator.replication_experiment(
-            params, cfg["n"], cfg["reps"], seed,
-            a_n_mode=cfg["a_n_mode"], init_tol=cfg["tol"], workers=workers)
-        path = out_dir / "replications.csv"
-        write_csv(path,
-                  ["rep", "n", "a_n", "mu_hat", "defined", "v1", "v2",
-                   "scaled_error"],
-                  ((r["rep"], r["n"], r["a_n"], r["mu_hat"], r["defined"],
-                    r["v1"], r["v2"], r["scaled_error"]) for r in table))
-        files.append(path)
-        seed_table = estimator.replication_seeds(cfg["reps"], seed)
-        summary["defined_fraction"] = float(np.mean(table["defined"]))
-
-    elif experiment == "limit-sample":
-        p = _limit_params(cfg)
-        rng = np.random.default_rng([seed, 0])
-        table = limitlaw.sample_limit_pairs(
-            p, cfg["eps"], cfg["reps"], rng, compensate=cfg["compensate"])
-        path = out_dir / "limit_samples.csv"
-        write_csv(path, ["v1", "v2", "terms_used"],
-                  ((r["v1"], r["v2"], r["terms_used"]) for r in table))
-        files.append(path)
-        summary["mean_terms"] = float(np.mean(table["terms_used"]))
-        v1_mean, v2_sd = limitlaw.truncation_bounds(p, cfg["eps"])
-        health = {"eps": cfg["eps"], "compensate": cfg["compensate"],
-                  "trunc_v1_mean_bound": v1_mean, "trunc_v2_sd_bound": v2_sd,
-                  "mean_terms_used": summary["mean_terms"],
-                  "min_terms_used": int(np.min(table["terms_used"]))}
-
-    elif experiment == "cdf-table":
-        p = _limit_params(cfg)
-        grid = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_points"])
-        vals = [limitlaw.cdf_ratio(p, float(x)) for x in grid]
-        path = out_dir / "cdf.csv"
-        write_csv(path, ["x", "cdf"], zip(grid, vals))
-        files.append(path)
-        seed_table = []
-        summary["cdf_at_zero"] = vals[len(grid) // 2] if len(grid) % 2 else None
-        health = {"tol": limitlaw.CDF_TOL, **limitlaw.cf_rule_health(p)}
-
-    elif experiment == "cf-table":
-        p = _limit_params(cfg)
-        rows = []
-        for s in _floats(cfg["s_values"]):
-            for t in _floats(cfg["t_values"]):
-                phi = limitlaw.cf_joint(p, s, t)
-                rows.append((s, t, phi.real, phi.imag))
-        path = out_dir / "cf.csv"
-        write_csv(path, ["s", "t", "re", "im"], rows)
-        files.append(path)
-        seed_table = []
-        health = {"tol": limitlaw.CF_RULE_TOL, **limitlaw.cf_rule_health(p)}
-
-    elif experiment == "tail-validate":
-        params = _model(cfg)
-        paths = tailproc.run_stationary_batch(
-            params, cfg["n"], cfg["chains"], [seed, 0], init_tol=cfg["tol"])
-        report = tailproc.validate_pseudo_tail(
-            params, paths, quantile=cfg["quantile"])
-        path = out_dir / "tail_report.json"
-        path.write_text(json.dumps({
-            "statistic": "pseudo-tail conditional laws",
-            "threshold": report.threshold,
-            "n_events": report.n_events,
-            "ks_w0_normal": report.ks_w0_normal,
-            "mean_ratio": report.mean_ratio,
-            "sd_ratio": report.sd_ratio,
-            "ks_front_pareto": report.ks_front_pareto,
-            "analytic": {"mean_ratio": params.mu_A},
-        }, indent=2, sort_keys=True) + "\n")
-        files.append(path)
-        summary["n_events"] = report.n_events
-
-    elif experiment == "laplace-validate":
-        params = _model(cfg)
-        a_n = process.scaling(params, cfg["n"]).a_n
-        report = tailproc.laplace_functional_gap(
-            params, cfg["eps"], _floats(cfg["s_values"]), cfg["n"], a_n,
-            cfg["reps"], [seed, 0])
-        path = out_dir / "laplace_report.json"
-        path.write_text(json.dumps({
-            "statistic": "exceedance Laplace functional",
-            "eps": cfg["eps"], "n": cfg["n"], "a_n": a_n,
-            "reps": cfg["reps"],
-            "per_s": {str(k): v for k, v in report.items()},
-        }, indent=2, sort_keys=True) + "\n")
-        files.append(path)
-
-    elif experiment == "karamata":
-        alpha = cfg["alpha"]
-        beta = cfg["beta"]
-        x = cfg["x"]
-        tail = dist.pareto_tail_cdf(alpha)
-        below = beta >= alpha
-        mom = dist.pareto_truncated_moment(alpha, below=below)
-        ratio = dist.karamata_ratio(beta, alpha, x, tail, mom)
-        path = out_dir / "karamata.json"
-        path.write_text(json.dumps({
-            "statistic": "truncated-moment tail ratio (exact Pareto)",
-            "alpha": alpha, "beta": beta, "x": x,
-            "empirical": ratio,
-            "analytic": dist.karamata_limit(beta, alpha),
-        }, indent=2, sort_keys=True) + "\n")
-        files.append(path)
-        seed_table = []
-
-    else:
-        raise click.UsageError(f"unknown experiment {experiment!r}")
-
-    manifest = _manifest(out_dir, cfg, experiment, files, t0, seed_table,
-                         health)
-    summary["manifest"] = str(manifest)
+    path = _write_json(out_dir / "manifest.json", manifest)
+    summary["manifest"] = str(path)
     summary["outputs"] = [str(f) for f in files]
     return summary
-
-
-def _common(func):
-    func = click.option("--config", "config_path", type=click.Path(exists=True),
-                        default=None, help="flat key=value config file")(func)
-    func = click.option("--seed", type=click.IntRange(min=0), default=None,
-                        help="master seed (overrides config)")(func)
-    func = click.option("--out", "out_dir", type=click.Path(), default="out",
-                        help="output directory")(func)
-    func = click.option("--workers", type=int, default=None,
-                        help="worker processes (default: GWI_WORKERS or 1)")(func)
-    return func
-
-
-def _dispatch(experiment, config_path, seed, out_dir, workers, **overrides):
-    cfg = parse_config(config_path)
-    if seed is not None:
-        cfg["seed"] = seed
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
-    if workers is None:
-        workers = int(os.environ.get("GWI_WORKERS", "1"))
-    summary = run(cfg, experiment, Path(out_dir), workers=workers)
-    click.echo(json.dumps(summary, indent=2, sort_keys=True))
 
 
 @click.group()
@@ -352,16 +336,26 @@ def main():
 
 
 def _make_command(name):
-    @_common
-    def _cmd(config_path, seed, out_dir, workers):
-        _dispatch(name, config_path, seed, out_dir, workers)
+    @main.command(name=name, help=EXPERIMENTS[name].__doc__)
+    @click.option("--config", "config_path", type=click.Path(exists=True),
+                  default=None, help="flat key=value config file")
+    @click.option("--seed", type=click.IntRange(min=0), default=None,
+                  help="master seed (overrides config)")
+    @click.option("--out", "out_dir", type=click.Path(), default="out",
+                  help="output directory")
+    @click.option("--workers", type=int, default=None,
+                  help="worker processes (default: GWI_WORKERS or 1)")
+    def command(config_path, seed, out_dir, workers):
+        cfg = parse_config(config_path)
+        if seed is not None:
+            cfg["seed"] = seed
+        if workers is None:
+            workers = int(os.environ.get("GWI_WORKERS", "1"))
+        summary = run(cfg, name, Path(out_dir), workers=workers)
+        click.echo(json.dumps(summary, indent=2, sort_keys=True))
 
-    _cmd.__name__ = name.replace("-", "_")
-    return main.command(name=name)(_cmd)
 
-
-for _name in ("simulate", "estimate", "limit-sample", "cdf-table", "cf-table",
-              "tail-validate", "laplace-validate", "karamata"):
+for _name in EXPERIMENTS:
     _make_command(_name)
 
 

@@ -76,11 +76,11 @@ class OffspringLaw:
     mu_A: float
     sigma_A2: float = field(init=False)
 
-    _FAMILIES = ("bernoulli", "poisson", "geometric")
+    FAMILIES = ("bernoulli", "poisson", "geometric")
 
     def __post_init__(self):
         fam = self.family.lower()
-        if fam not in self._FAMILIES:
+        if fam not in self.FAMILIES:
             raise ValueError(f"unknown offspring family {self.family!r}")
         object.__setattr__(self, "family", fam)
         if not 0.0 < self.mu_A < 1.0:

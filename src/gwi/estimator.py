@@ -196,7 +196,6 @@ def replication_experiment(
     n: int,
     reps: int,
     seed: int,
-    a_n_mode: str = "analytic",
     init_tol: float = 1e-6,
     workers: int = 1,
 ) -> np.ndarray:
@@ -209,8 +208,8 @@ def replication_experiment(
     """
     if reps < 1:
         raise ValueError("reps must be positive")
-    info = scaling(params, n, mode=a_n_mode)
-    blocks = [(params, n, key, min(_BLOCK, reps - key[1] * _BLOCK), info.a_n,
+    a_n = scaling(params, n).a_n
+    blocks = [(params, n, key, min(_BLOCK, reps - key[1] * _BLOCK), a_n,
                init_tol) for key in replication_seeds(reps, seed)]
     if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

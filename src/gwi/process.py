@@ -98,7 +98,6 @@ class Trajectory:
 
     x: np.ndarray
     m: np.ndarray
-    seed: object = None
 
     def __post_init__(self):
         if len(self.m) != len(self.x) - 1:
@@ -220,16 +219,12 @@ def residuals(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def simulate(
-    params: ModelParams,
-    n: int,
-    init: int,
-    rng: np.random.Generator,
-    seed: object = None,
+    params: ModelParams, n: int, init: int, rng: np.random.Generator
 ) -> Trajectory:
     """Simulate one path X_0 = init, ..., X_n with its residuals."""
     path = simulate_batch(params, n, np.array([init], dtype=np.int64), rng)
     x = path[0]
-    return Trajectory(x=x, m=residuals(params, x), seed=seed)
+    return Trajectory(x=x, m=residuals(params, x))
 
 
 def scaling(

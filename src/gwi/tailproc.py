@@ -76,20 +76,26 @@ def sample_tail_path(
     return TailPath(y=y, k=k, y0=float(y0))
 
 
-def forward_tail_normalization(alpha: float, sigma_A2: float) -> float:
-    """E[(1 v |Z|)^{2 alpha/3}] for Z ~ N(0, sigma_A2), in closed form.
+def _front_mixture(alpha: float, sigma_A2: float):
+    """Split of E[(1 v |Z|)^{2 alpha/3}], Z ~ N(0, sigma_A2), at |Z| = 1.
 
-    Splits at |Z| = 1: the inner part contributes P(|Z| <= 1); for the
-    outer part the substitution t = z^2/(2 sigma^2) yields an upper
-    incomplete gamma function of shape alpha/3 + 1/2.
+    The inner part contributes P(|Z| <= 1); for the outer part the
+    substitution t = z^2/(2 sigma^2) yields an upper incomplete gamma
+    function of shape alpha/3 + 1/2.  Returns (inner, outer, shape,
+    Q(shape, t1)) with t1 = 1/(2 sigma_A2).
     """
     q = 2.0 * alpha / 3.0
-    sigma = math.sqrt(sigma_A2)
-    inner = 2.0 * ndtr(1.0 / sigma) - 1.0
+    inner = 2.0 * ndtr(1.0 / math.sqrt(sigma_A2)) - 1.0
     shape = 0.5 * (q + 1.0)
-    t1 = 1.0 / (2.0 * sigma_A2)
-    outer = (2.0 * sigma_A2) ** (0.5 * q) * math.gamma(shape) \
-        * gammaincc(shape, t1) / math.sqrt(math.pi)
+    q_t1 = gammaincc(shape, 1.0 / (2.0 * sigma_A2))
+    outer = (2.0 * sigma_A2) ** (0.5 * q) * math.gamma(shape) * q_t1 \
+        / math.sqrt(math.pi)
+    return inner, outer, shape, q_t1
+
+
+def forward_tail_normalization(alpha: float, sigma_A2: float) -> float:
+    """E[(1 v |Z|)^{2 alpha/3}] for Z ~ N(0, sigma_A2), in closed form."""
+    inner, outer, _, _ = _front_mixture(alpha, sigma_A2)
     return inner + outer
 
 
@@ -106,15 +112,8 @@ def sample_forward_front_many(
     outside), which avoids the unbounded likelihood ratio a naive
     rejection step against the plain normal would face.
     """
-    q = 2.0 * alpha / 3.0
+    inner, outer, shape, q_t1 = _front_mixture(alpha, sigma_A2)
     sigma = math.sqrt(sigma_A2)
-    inner = 2.0 * ndtr(1.0 / sigma) - 1.0
-    shape = 0.5 * (q + 1.0)
-    t1 = 1.0 / (2.0 * sigma_A2)
-    q_t1 = gammaincc(shape, t1)
-    outer = (2.0 * sigma_A2) ** (0.5 * q) * math.gamma(shape) * q_t1 \
-        / math.sqrt(math.pi)
-
     pick_outer = rng.random(size) < outer / (inner + outer)
     z = np.empty(size)
     n_in = int(np.sum(~pick_outer))
@@ -128,7 +127,7 @@ def sample_forward_front_many(
         mag = sigma * np.sqrt(2.0 * t)
         sign = np.where(rng.random(n_out) < 0.5, -1.0, 1.0)
         z[pick_outer] = sign * mag
-    ypareto = rng.random(size) ** (-1.0 / q)
+    ypareto = rng.random(size) ** (-1.0 / (2.0 * alpha / 3.0))
     ytilde = ypareto / np.maximum(1.0, np.abs(z))
     return ytilde, z
 
@@ -280,15 +279,16 @@ def laplace_functional_gap(
     a_n: float,
     reps: int,
     seed,
+    init_tol: float = 1e-6,
 ) -> dict:
     """Empirical vs analytic -log E[exp(-N_n(f))] for f = s*1{x > eps}.
 
     ``s`` may be a scalar or a sequence; the exceedance counts are
-    simulated once and reused.  Returns per-s empirical value, analytic
-    value, absolute gap, and a delta-method standard error of the
-    empirical side.
+    simulated once, from stationary starts truncated at ``init_tol``, and
+    reused.  Returns per-s empirical value, analytic value, absolute gap,
+    and a delta-method standard error of the empirical side.
     """
-    counts = exceedance_counts(params, n, reps, a_n * eps, seed)
+    counts = exceedance_counts(params, n, reps, a_n * eps, seed, init_tol)
     out = {}
     for sv in np.atleast_1d(np.asarray(s, dtype=np.float64)):
         w = np.exp(-sv * counts)

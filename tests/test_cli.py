@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gwi import limitlaw
-from gwi.cli import main, parse_config, write_csv
+from gwi import limitlaw, process, tailproc
+from gwi.cli import EXPERIMENTS, main, parse_config, run, write_csv
 from gwi.limitlaw import LimitParams, truncation_bounds
 
 
@@ -67,7 +67,10 @@ class TestConfig:
         ("mu_A", "1"), ("c", "0"), ("c", "1.5"), ("eps", "0"),
         ("eps", "-0.01"), ("tol", "0"), ("tol", "1"), ("quantile", "0"),
         ("quantile", "1"), ("n", "0"), ("reps", "0"), ("x_points", "0"),
-        ("chains", "-3"),
+        ("chains", "-3"), ("offspring", "poison"), ("s_values", "0.5,abc"),
+        ("t_values", "0.5,abc"), ("x", "-5"), ("x", "0"), ("beta", "inf"),
+        ("beta", "nan"), ("x_min", "-inf"), ("x_max", "inf"),
+        ("x_max", "nan"),
     ])
     def test_out_of_range_rejected(self, tmp_path, key, value):
         p = tmp_path / "range.cfg"
@@ -75,11 +78,21 @@ class TestConfig:
         with pytest.raises(click.UsageError, match=repr(key)):
             parse_config(str(p))
 
+    def test_bad_offspring_writes_nothing(self, runner, tmp_path):
+        p = tmp_path / "off.cfg"
+        p.write_text("offspring = poison\n")
+        result = runner.invoke(main, ["simulate", "--config", str(p),
+                                      "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 2
+        assert "'offspring'" in result.output
+        assert not (tmp_path / "sim").exists()
+
     def test_range_edges_accepted(self, tmp_path):
-        # the benchmark's range probes
+        # the benchmark's range probes, and a family name in any case
         p = tmp_path / "edge.cfg"
         for line in ("alpha = 1.01", "alpha = 1.99", "mu_A = 0.99",
-                     "x_min = 100\nx_max = 100\nx_points = 1"):
+                     "x_min = 100\nx_max = 100\nx_points = 1",
+                     "offspring = Geometric"):
             p.write_text(line + "\n")
             parse_config(str(p))
 
@@ -103,11 +116,65 @@ class TestConfig:
 
     def test_write_csv_format(self, tmp_path):
         p = tmp_path / "t.csv"
-        write_csv(p, ["a", "b"], [(1, 0.5), (2, 1 / 3)])
+        assert write_csv(p, ["a", "b"], [(1, 0.5), (2, 1 / 3)]) == p
         lines = p.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[1] == "1,0.5"
         assert float(lines[2].split(",")[1]) == pytest.approx(1 / 3, abs=1e-16)
+
+
+# Tiny configs that run every experiment in a few seconds in all.
+_TINY = {
+    "simulate": "n = 200\n",
+    "estimate": "n = 50\nreps = 20\n",
+    "limit-sample": "eps = 0.05\nreps = 100\n",
+    "cdf-table": "x_min = -1\nx_max = 1\nx_points = 3\n",
+    "cf-table": "s_values = 1\nt_values = 1\n",
+    "tail-validate": "n = 200000\nchains = 100\nquantile = 0.99\n",
+    "laplace-validate": "n = 2000\nreps = 50\neps = 1.0\n",
+    "karamata": "",
+}
+
+
+class TestRegistry:
+    def test_commands_are_the_experiments(self):
+        assert set(_TINY) == set(EXPERIMENTS)
+        assert set(main.commands) == set(EXPERIMENTS) | {"compare"}
+
+    @pytest.mark.parametrize("name", list(_TINY))
+    def test_every_experiment_runs(self, runner, tmp_path, name):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(_TINY[name])
+        out = tmp_path / "out"
+        res = _run(runner, name, "--config", str(cfg), "--seed", "3",
+                   "--out", str(out))
+        summary = json.loads(res.output)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["experiment"] == name
+        assert manifest["outputs"]
+        assert sorted(summary["outputs"]) == sorted(
+            str(out / f) for f in manifest["outputs"])
+        for f, digest in manifest["outputs"].items():
+            assert hashlib.sha256((out / f).read_bytes()).hexdigest() == digest
+
+    def test_unknown_experiment_rejected(self, tmp_path):
+        with pytest.raises(click.UsageError, match="'estimat'"):
+            run(parse_config(None), "estimat", tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+    def test_laplace_honours_tol(self, runner, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(params, tol, size, rng):
+            seen.append(tol)
+            return process.stationary_init_many(params, tol, size, rng)
+
+        monkeypatch.setattr(tailproc, "stationary_init_many", spy)
+        cfg = tmp_path / "lap.cfg"
+        cfg.write_text(_TINY["laplace-validate"] + "tol = 1e-3\n")
+        _run(runner, "laplace-validate", "--config", str(cfg),
+             "--out", str(tmp_path / "lap"))
+        assert seen == [1e-3]
 
 
 class TestSimulate:
