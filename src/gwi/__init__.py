@@ -10,14 +10,7 @@ from .distributions import (
     karamata_limit,
     karamata_ratio,
 )
-from .estimator import (
-    ClsResult,
-    PartialSumPair,
-    cls_estimate,
-    partial_sums,
-    replication_experiment,
-    scaled_error,
-)
+from .estimator import cls_estimate, replication_experiment
 from .limitlaw import (
     LimitParams,
     cdf_ratio,
@@ -28,11 +21,10 @@ from .limitlaw import (
 from .process import (
     ModelParams,
     ScalingInfo,
-    Trajectory,
     scaling,
     simulate,
     simulate_batch,
-    stationary_init,
+    stationary_init_many,
 )
 from .tailproc import (
     ForwardTailXM,

@@ -63,7 +63,11 @@ _INT_MINIMA = {"n": 1, "reps": 1, "x_points": 1, "chains": 1, "seed": 0}
 
 
 def _floats(spec: str) -> list[float]:
-    return [float(v) for v in spec.split(",") if v.strip()]
+    """Comma-separated finite floats, at least one; else ``ValueError``."""
+    vals = [float(v) for v in spec.split(",") if v.strip()]
+    if not vals or not all(map(math.isfinite, vals)):
+        raise ValueError(spec)
+    return vals
 
 
 _PARSERS = {bool: lambda word: _BOOL_WORDS[word.lower()], int: int,
@@ -80,7 +84,7 @@ def parse_config(path: str | None) -> dict:
     outside its range raises ``click.UsageError`` naming the key.
     ``compensate`` is true/false/1/0/yes/no, in any case; ``offspring``
     is bernoulli, poisson or geometric; ``s_values`` and ``t_values``
-    are comma-separated floats.
+    are non-empty lists of comma-separated finite floats.
 
     ``tol`` is the truncation tolerance of the stationary start (the mean
     remainder of its backward series).  It does not set the accuracy of
@@ -122,7 +126,7 @@ def parse_config(path: str | None) -> dict:
             _floats(cfg[key])
         except ValueError:
             raise click.UsageError(f"config key {key!r} must be comma-separated"
-                                   f" floats, got {cfg[key]!r}") from None
+                                   f" finite floats, got {cfg[key]!r}") from None
     return cfg
 
 
@@ -168,14 +172,15 @@ def _simulate(cfg, out_dir, workers):
     params = _model(cfg)
     seed = cfg["seed"]
     rng = np.random.default_rng([seed, 0])
-    init = process.stationary_init(params, cfg["tol"], rng)
-    traj = process.simulate(params, cfg["n"], init, rng)
+    init = process.stationary_init_many(params, cfg["tol"], 1, rng)[0]
+    x = process.simulate(params, cfg["n"], init, rng)
+    m = process.residuals(params, x)
     path = out_dir / "trajectory.csv"
     with open(path, "w", newline="\n") as fh:
         fh.write("i,x,m\n")
-        fh.write(f"0,{traj.x[0]},\n")
-        for i in range(1, len(traj.x)):
-            fh.write(f"{i},{traj.x[i]},{_fmt(traj.m[i - 1])}\n")
+        fh.write(f"0,{x[0]},\n")
+        for i in range(1, len(x)):
+            fh.write(f"{i},{x[i]},{_fmt(m[i - 1])}\n")
     meta = _write_json(out_dir / "trajectory_meta.json", {
         "alpha": cfg["alpha"], "mu_A": cfg["mu_A"], "c": cfg["c"],
         "offspring": cfg["offspring"], "mu_B": params.mu_B,
@@ -192,8 +197,9 @@ def _estimate(cfg, out_dir, workers):
         workers=workers)
     path = write_csv(out_dir / "replications.csv", table.dtype.names,
                      table.tolist())
+    frac = float(np.mean(table["defined"]))
     return ([path], estimator.replication_seeds(cfg["reps"], cfg["seed"]),
-            {"defined_fraction": float(np.mean(table["defined"]))}, None)
+            {"defined_fraction": frac}, {"defined_fraction": frac})
 
 
 def _limit_sample(cfg, out_dir, workers):
@@ -335,6 +341,15 @@ def main():
     """Simulation and inference toolkit for heavy-tailed branching processes."""
 
 
+def _env_workers() -> int:
+    """Worker count from ``GWI_WORKERS`` (default 1); a positive int."""
+    raw = os.environ.get("GWI_WORKERS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise click.UsageError(
+            f"GWI_WORKERS must be a positive int, got {raw!r}")
+    return int(raw)
+
+
 def _make_command(name):
     @main.command(name=name, help=EXPERIMENTS[name].__doc__)
     @click.option("--config", "config_path", type=click.Path(exists=True),
@@ -343,14 +358,14 @@ def _make_command(name):
                   help="master seed (overrides config)")
     @click.option("--out", "out_dir", type=click.Path(), default="out",
                   help="output directory")
-    @click.option("--workers", type=int, default=None,
+    @click.option("--workers", type=click.IntRange(min=1), default=None,
                   help="worker processes (default: GWI_WORKERS or 1)")
     def command(config_path, seed, out_dir, workers):
         cfg = parse_config(config_path)
         if seed is not None:
             cfg["seed"] = seed
         if workers is None:
-            workers = int(os.environ.get("GWI_WORKERS", "1"))
+            workers = _env_workers()
         summary = run(cfg, name, Path(out_dir), workers=workers)
         click.echo(json.dumps(summary, indent=2, sort_keys=True))
 

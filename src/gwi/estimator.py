@@ -11,19 +11,22 @@ mu_hat - mu_A = sum X_{i-1} M_i / sum X_{i-1}^2, and sqrt(a_n) times it
 converges to the ratio of a dependent stable pair; the normalised
 partial sums (V_n^1, V_n^2) = (a_n^-2 sum X_j^2, a_n^-3/2 sum X_j M_{j+1})
 are the two coordinates.
+
+One reducer, ``_cls_reducer``, forms these sums in time order.  The
+replication farm feeds it the blocks of ``simulate_batch``;
+``cls_estimate`` feeds it a given path or bundle of paths in one call.
+Both return rows of ``REPLICATION_FIELDS``.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .process import (
     ModelParams,
-    Trajectory,
     scaling,
     simulate_batch,
     stationary_init_many,
@@ -31,83 +34,13 @@ from .process import (
 )
 
 __all__ = [
-    "ClsResult",
-    "PartialSumPair",
     "cls_estimate",
-    "partial_sums",
-    "scaled_error",
     "replication_experiment",
     "replication_seeds",
     "REPLICATION_FIELDS",
 ]
 
 _BLOCK = 250
-
-
-@dataclass(frozen=True)
-class ClsResult:
-    """CLS estimate with its raw building blocks.
-
-    ``numerator`` is sum X_{i-1}(X_i - mu_B) and ``denominator`` is
-    sum X_{i-1}^2, so that for the true offspring mean
-    mu_hat - mu_A = (numerator - mu_A*denominator) / denominator exactly.
-    """
-
-    mu_hat: float
-    numerator: float
-    denominator: float
-    defined: bool
-
-
-@dataclass(frozen=True)
-class PartialSumPair:
-    """Normalised partial sums (a_n^-2 sum X_j^2, a_n^-3/2 sum X_j M_{j+1})."""
-
-    v1: float
-    v2: float
-
-
-def cls_estimate(x, mu_B: float) -> ClsResult:
-    """CLS estimate of the offspring mean from path values X_0..X_n.
-
-    Sums are accumulated exactly (math.fsum) since heavy-tailed paths
-    mix terms of very different magnitude.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) < 2:
-        raise ValueError("need at least two path values")
-    prev, cur = x[:-1], x[1:]
-    num = math.fsum(prev * (cur - mu_B))
-    den = math.fsum(prev * prev)
-    if den > 0:
-        return ClsResult(mu_hat=num / den, numerator=num, denominator=den,
-                         defined=True)
-    return ClsResult(mu_hat=math.nan, numerator=num, denominator=den,
-                     defined=False)
-
-
-def partial_sums(traj: Trajectory, a_n: float) -> PartialSumPair:
-    """Normalised sums over the shifted window j = 1..n, n = len(x) - 2.
-
-    The trajectory must extend one step past the window so that M_{j+1}
-    exists for every j; compensated (exact) summation is used throughout.
-    """
-    if a_n <= 0:
-        raise ValueError("a_n must be positive")
-    if traj.n < 2:
-        raise ValueError("trajectory must hold at least two transitions")
-    xj = np.asarray(traj.x[1:-1], dtype=np.float64)
-    m_next = np.asarray(traj.m[1:], dtype=np.float64)
-    v1 = math.fsum(xj * xj) / a_n**2
-    v2 = math.fsum(xj * m_next) / a_n**1.5
-    return PartialSumPair(v1=v1, v2=v2)
-
-
-def scaled_error(cls: ClsResult, mu_A: float, a_n: float) -> float:
-    """sqrt(a_n) * (mu_hat - mu_A); requires a defined estimate."""
-    if not cls.defined:
-        raise ValueError("CLS estimate is undefined (zero denominator)")
-    return math.sqrt(a_n) * (cls.mu_hat - mu_A)
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +68,14 @@ def replication_seeds(reps: int, seed: int) -> list[list[int]]:
     return [[seed, b] for b in range(-(-reps // _BLOCK))]
 
 
-def _run_block(args):
-    """Simulate one block of replications as a vectorised chain bundle.
+def _cls_reducer(params: ModelParams, width: int):
+    """Zeroed CLS sums of ``width`` chains and the reducer that adds to them.
 
-    The path is reduced block by block into the estimator sums over the
-    window i = 1..n and the pair sums over the shifted window j = 1..n-1.
-
-    ``scaled_error`` is sqrt(a_n) * (mu_hat - mu_A) computed from the
-    rounded mu_hat, so it can be recomputed exactly from the written
-    ``mu_hat`` column.  The exact identity mu_hat - mu_A =
-    sum X_{i-1} M_i / sum X_{i-1}^2 would keep more digits on rows with
-    mu_hat near mu_A, but would differ from that recomputation by up to
-    about 1e-9 relative.
+    ``reduce(block)`` takes successive (width, T+1) blocks whose column 0
+    is the previous block's last state (X_0 for the first block), as
+    ``simulate_batch`` hands them over.  The estimator sums run over the
+    window i = 1..n, the pair sums over the shifted window j = 1..n-1.
     """
-    (params, n, key, width, a_n, init_tol) = args
-    rng = np.random.default_rng(key)
-    x = stationary_init_many(params, init_tol, width, rng)
-
     mu_A, mu_B = params.mu_A, params.mu_B
     # num, den, sum_{j=1..n-1} X_j^2, sum_{j=1..n-1} X_j M_{j+1}
     sums = np.zeros((4, width))
@@ -174,20 +98,64 @@ def _run_block(args):
             first = False
         terms.sum(axis=0, out=sums)
 
-    simulate_batch(params, n, x, rng, reduce=reduce)
+    return sums, reduce
+
+
+def _rows(params: ModelParams, n: int, sums: np.ndarray) -> np.ndarray:
+    """``REPLICATION_FIELDS`` rows, numbered from 0, from reduced sums.
+
+    ``scaled_error`` is sqrt(a_n) * (mu_hat - mu_A) computed from the
+    rounded mu_hat, so it can be recomputed exactly from the written
+    ``mu_hat`` column.  The exact identity mu_hat - mu_A =
+    sum X_{i-1} M_i / sum X_{i-1}^2 would keep more digits on rows with
+    mu_hat near mu_A, but would differ from that recomputation by up to
+    about 1e-9 relative.
+    """
+    a_n = scaling(params, n).a_n
     num, den, s_x2, s_xm = sums
     defined = den > 0
     mu_hat = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
-    out = np.zeros(width, dtype=REPLICATION_FIELDS)
-    out["rep"] = key[1] * _BLOCK + np.arange(width)
+    out = np.zeros(len(num), dtype=REPLICATION_FIELDS)
+    out["rep"] = np.arange(len(num))
     out["n"] = n
     out["a_n"] = a_n
     out["mu_hat"] = mu_hat
     out["defined"] = defined
     out["v1"] = s_x2 / a_n**2
     out["v2"] = s_xm / a_n**1.5
-    out["scaled_error"] = np.where(defined, math.sqrt(a_n) * (mu_hat - mu_A),
-                                   np.nan)
+    out["scaled_error"] = np.where(
+        defined, math.sqrt(a_n) * (mu_hat - params.mu_A), np.nan)
+    return out
+
+
+def cls_estimate(params: ModelParams, x) -> np.ndarray:
+    """CLS rows of one path X_0..X_n or of a (chains, n+1) bundle.
+
+    Returns the ``REPLICATION_FIELDS`` record of a 1-D path, or one row
+    per chain of a 2-D bundle: the same rows the replication farm writes
+    for the same paths.
+    """
+    x = np.asarray(x)
+    if x.ndim not in (1, 2) or x.shape[-1] < 2:
+        raise ValueError("need one path or a (chains, n+1) bundle of at "
+                         "least two path values")
+    paths = np.atleast_2d(x)
+    sums, reduce = _cls_reducer(params, len(paths))
+    reduce(paths)
+    rows = _rows(params, paths.shape[1] - 1, sums)
+    return rows[0] if x.ndim == 1 else rows
+
+
+def _run_block(args):
+    """Simulate one block of replications as a vectorised chain bundle,
+    reducing the path block by block into the CLS rows."""
+    (params, n, key, width, init_tol) = args
+    rng = np.random.default_rng(key)
+    x = stationary_init_many(params, init_tol, width, rng)
+    sums, reduce = _cls_reducer(params, width)
+    simulate_batch(params, n, x, rng, reduce=reduce)
+    out = _rows(params, n, sums)
+    out["rep"] += key[1] * _BLOCK
     return key[1], out
 
 
@@ -208,9 +176,8 @@ def replication_experiment(
     """
     if reps < 1:
         raise ValueError("reps must be positive")
-    a_n = scaling(params, n).a_n
-    blocks = [(params, n, key, min(_BLOCK, reps - key[1] * _BLOCK), a_n,
-               init_tol) for key in replication_seeds(reps, seed)]
+    blocks = [(params, n, key, min(_BLOCK, reps - key[1] * _BLOCK), init_tol)
+              for key in replication_seeds(reps, seed)]
     if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block, blocks))

@@ -30,11 +30,9 @@ from .distributions import (
 
 __all__ = [
     "ModelParams",
-    "Trajectory",
     "ScalingInfo",
     "TailOverflowError",
     "cascade_depth",
-    "stationary_init",
     "stationary_init_many",
     "step_batch",
     "simulate",
@@ -93,22 +91,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Realised path X_0..X_n with residuals M_1..M_n."""
-
-    x: np.ndarray
-    m: np.ndarray
-
-    def __post_init__(self):
-        if len(self.m) != len(self.x) - 1:
-            raise ValueError("m must hold one residual per transition")
-
-    @property
-    def n(self) -> int:
-        return len(self.x) - 1
-
-
-@dataclass(frozen=True)
 class ScalingInfo:
     """Normalising value a_n for a horizon n."""
 
@@ -151,11 +133,6 @@ def stationary_init_many(
         thinned = sample_aggregate_offspring_many(params.offspring, s, rng)
         s = thinned + sample_immigration_many(params.immigration, rng.random(size))
     return s
-
-
-def stationary_init(params: ModelParams, tol: float, rng: np.random.Generator) -> int:
-    """One approximate stationary draw (see ``stationary_init_many``)."""
-    return int(stationary_init_many(params, tol, 1, rng)[0])
 
 
 def step_batch(
@@ -220,11 +197,9 @@ def residuals(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def simulate(
     params: ModelParams, n: int, init: int, rng: np.random.Generator
-) -> Trajectory:
-    """Simulate one path X_0 = init, ..., X_n with its residuals."""
-    path = simulate_batch(params, n, np.array([init], dtype=np.int64), rng)
-    x = path[0]
-    return Trajectory(x=x, m=residuals(params, x))
+) -> np.ndarray:
+    """Simulate one path X_0 = init, ..., X_n as an (n+1,) int64 array."""
+    return simulate_batch(params, n, np.array([init], dtype=np.int64), rng)[0]
 
 
 def scaling(

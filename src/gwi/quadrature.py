@@ -1,12 +1,14 @@
-"""Adaptive Gauss-Kronrod quadrature and oscillatory-tail summation.
+"""Adaptive Gauss-Kronrod quadrature on a finite interval.
 
 The 7-point Gauss / 15-point Kronrod pair gives an embedded error
 estimate per panel; panels whose error exceeds their share of the
 budget are bisected, with every pending panel of a generation evaluated
-in one vectorised call.  Semi-infinite oscillatory integrals are handled
-by half-period segmentation plus iterated averaging of the partial sums
-(Euler transformation), which turns the slowly converging alternating
-tail into a rapidly converging one.
+in one vectorised call.  ``limitlaw.cdf_ratio`` uses it for the
+Gil-Pelaez integral.  No integral here has an oscillatory tail: the
+joint CF is taken along a rotated ray where its integrand decays.
+``euler_accelerated_sum`` (Euler summation of an alternating series)
+has no caller in the package; it stays only because
+``perfbench/spans.py`` patches it by name.
 """
 
 from __future__ import annotations

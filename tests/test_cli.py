@@ -70,7 +70,8 @@ class TestConfig:
         ("chains", "-3"), ("offspring", "poison"), ("s_values", "0.5,abc"),
         ("t_values", "0.5,abc"), ("x", "-5"), ("x", "0"), ("beta", "inf"),
         ("beta", "nan"), ("x_min", "-inf"), ("x_max", "inf"),
-        ("x_max", "nan"),
+        ("x_max", "nan"), ("s_values", "nan"), ("t_values", "inf,1"),
+        ("s_values", ","),
     ])
     def test_out_of_range_rejected(self, tmp_path, key, value):
         p = tmp_path / "range.cfg"
@@ -86,6 +87,19 @@ class TestConfig:
         assert result.exit_code == 2
         assert "'offspring'" in result.output
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("args,env", [
+        (["--workers", "-2"], {}), (["--workers", "0"], {}),
+        ([], {"GWI_WORKERS": "abc"}), ([], {"GWI_WORKERS": "0"}),
+        ([], {"GWI_WORKERS": "-1"}),
+    ])
+    def test_bad_workers_rejected(self, runner, tmp_path, args, env):
+        out = tmp_path / "est"
+        result = runner.invoke(main, ["estimate", "--out", str(out), *args],
+                               env=env)
+        assert result.exit_code == 2
+        assert ("--workers" if args else "GWI_WORKERS") in result.output
+        assert not out.exists()
 
     def test_range_edges_accepted(self, tmp_path):
         # the benchmark's range probes, and a family name in any case
@@ -238,6 +252,19 @@ class TestEstimate:
         rows = (out / "replications.csv").read_text().splitlines()
         assert rows[0] == "rep,n,a_n,mu_hat,defined,v1,v2,scaled_error"
         assert len(rows) == 26
+
+    def test_manifest_health(self, runner, tmp_path):
+        # the defined fraction is health, not a column
+        out = tmp_path / "est"
+        cfg = tmp_path / "est.cfg"
+        cfg.write_text("n=8\nreps=400\n")  # short paths: some undefined
+        _run(runner, "estimate", "--config", str(cfg), "--out", str(out))
+        defined = [r.split(",")[4] for r in
+                   (out / "replications.csv").read_text().splitlines()[1:]]
+        frac = defined.count("1") / len(defined)
+        assert 0 < frac < 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["health"] == {"defined_fraction": frac}
 
 
 def _check_rule_health(out, tol):

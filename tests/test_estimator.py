@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from gwi.estimator import (
     cls_estimate,
-    partial_sums,
     replication_experiment,
     replication_seeds,
-    scaled_error,
 )
 from gwi.process import (
-    Trajectory,
     residuals,
     scaling,
     simulate,
@@ -21,101 +18,145 @@ from gwi.process import (
     stationary_init_many,
 )
 
+_EPS = np.finfo(np.float64).eps
+
+
+def _oracle_terms(params, x):
+    """Per-step terms of the CLS sums of one path, as float64 arrays.
+
+    num and den run over i = 1..n; x2 and xm over the shifted window
+    j = 1..n-1 (X_j^2 and X_j M_{j+1}).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    prev, cur = x[:-1], x[1:]
+    xj = prev[1:]
+    return {"num": prev * (cur - params.mu_B), "den": prev * prev,
+            "x2": xj * xj, "xm": xj * residuals(params, x)[1:]}
+
+
+def _oracle(params, x):
+    """Reference (mu_hat, v1, v2) of one path by exact (fsum) summation."""
+    t = {k: math.fsum(v) for k, v in _oracle_terms(params, x).items()}
+    a_n = scaling(params, len(x) - 1).a_n
+    mu_hat = t["num"] / t["den"] if t["den"] > 0 else math.nan
+    return mu_hat, t["x2"] / a_n**2, t["xm"] / a_n**1.5
+
 
 class TestClsEstimate:
-    def test_hand_example(self):
-        res = cls_estimate([1, 2, 1], mu_B=1.0)
-        assert res.defined
-        assert res.mu_hat == pytest.approx(0.2)
-        assert res.numerator == pytest.approx(1.0)
-        assert res.denominator == pytest.approx(5.0)
+    def test_hand_example(self, ref_model):
+        mu_A, mu_B = ref_model.mu_A, ref_model.mu_B
+        row = cls_estimate(ref_model, [1, 2, 1])
+        a_n = scaling(ref_model, 2).a_n
+        assert row["defined"] and row["n"] == 2 and row["a_n"] == a_n
+        # num = 1*(2 - mu_B) + 2*(1 - mu_B), den = 1 + 4
+        assert row["mu_hat"] == pytest.approx((4 - 3 * mu_B) / 5)
+        # the shifted window holds j = 1 only: X_1 = 2, M_2 = 1 - 2 mu_A - mu_B
+        assert row["v1"] == pytest.approx(4 / a_n**2)
+        assert row["v2"] == pytest.approx(2 * (1 - 2 * mu_A - mu_B) / a_n**1.5)
 
-    def test_all_zero_undefined(self):
-        res = cls_estimate([0, 0, 0], mu_B=1.0)
-        assert not res.defined
-        assert math.isnan(res.mu_hat)
+    def test_all_zero_undefined(self, ref_model):
+        row = cls_estimate(ref_model, [0, 0, 0])
+        assert not row["defined"]
+        assert math.isnan(row["mu_hat"]) and math.isnan(row["scaled_error"])
 
-    def test_constant_path(self):
-        k, mu_B = 7, 0.8
-        res = cls_estimate([k] * 12, mu_B)
-        assert res.mu_hat == pytest.approx((k - mu_B) / k)
+    def test_constant_path(self, ref_model):
+        k = 7
+        row = cls_estimate(ref_model, [k] * 12)
+        assert row["mu_hat"] == pytest.approx((k - ref_model.mu_B) / k)
 
     def test_error_identity(self, ref_model, rng):
-        traj = simulate(ref_model, 500, 2, rng)
-        res = cls_estimate(traj.x, ref_model.mu_B)
+        x = simulate(ref_model, 500, 2, rng)
+        row = cls_estimate(ref_model, x)
         # mu_hat - mu_A == sum X_{i-1} M_i / sum X_{i-1}^2
-        lhs = res.mu_hat - ref_model.mu_A
-        rhs = (res.numerator - ref_model.mu_A * res.denominator) \
-            / res.denominator
-        assert lhs == pytest.approx(rhs, abs=1e-14)
+        prev = x[:-1].astype(np.float64)
+        rhs = math.fsum(prev * residuals(ref_model, x)) / math.fsum(prev * prev)
+        assert row["mu_hat"] - ref_model.mu_A == pytest.approx(rhs, abs=1e-14)
 
-    def test_too_short(self):
+    def test_too_short(self, ref_model):
         with pytest.raises(ValueError):
-            cls_estimate([3], 0.5)
+            cls_estimate(ref_model, [3])
 
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=3,
-                    max_size=40))
+    @given(st.integers(min_value=3, max_value=40).flatmap(
+        lambda k: st.lists(st.lists(st.integers(min_value=0, max_value=50),
+                                    min_size=k, max_size=k),
+                           min_size=1, max_size=4)))
     @settings(max_examples=100, deadline=None)
-    def test_permutation_robust_sums(self, xs):
-        # exact summation: the sums are invariant under term reordering
-        res = cls_estimate(xs, 0.5)
-        prev = np.array(xs[:-1], dtype=float)
-        cur = np.array(xs[1:], dtype=float)
-        order = np.argsort(cur * 7919 % 13)
-        num = math.fsum((prev * (cur - 0.5))[order])
-        den = math.fsum((prev * prev)[order])
-        assert num == res.numerator
-        assert den == res.denominator
+    def test_rows_match_fsum_oracle(self, ref_model, paths):
+        bundle = cls_estimate(ref_model, paths)
+        for x, row in zip(paths, bundle):
+            # a 1-D path gives the bundle's row, bit for bit (rep aside)
+            single = cls_estimate(ref_model, x)
+            for name in bundle.dtype.names[1:]:
+                assert np.array_equal(single[name], row[name], equal_nan=True)
+            # recursive summation of k terms is off by at most
+            # (k-1) eps sum|t| (Higham, Accuracy and Stability, 4.2); the
+            # terms are formed as the oracle forms them, and each division
+            # adds at most one rounding of the result
+            terms = _oracle_terms(ref_model, x)
+            mu_hat, v1, v2 = _oracle(ref_model, x)
+            a_n = row["a_n"]
+            bound = {k: len(t) * _EPS * np.abs(t).sum()
+                     for k, t in terms.items()}
+            assert v1 == row["v1"]  # integer squares: every sum is exact
+            assert abs(row["v2"] - v2) <= \
+                bound["xm"] / a_n**1.5 + 2 * _EPS * abs(v2)
+            assert row["defined"] == (terms["den"].sum() > 0)
+            if row["defined"]:
+                assert abs(row["mu_hat"] - mu_hat) <= \
+                    bound["num"] / terms["den"].sum() + 2 * _EPS * abs(mu_hat)
 
 
 class TestPartialSums:
-    def test_single_spike(self):
-        a_n = 16.0
+    def test_single_spike(self, ref_model):
         x = np.zeros(6, dtype=np.int64)
         x[2] = 16
-        m = np.zeros(5)
-        pair = partial_sums(Trajectory(x=x, m=m), a_n)
-        assert pair.v1 == pytest.approx(1.0)
-        assert pair.v2 == 0.0
+        row = cls_estimate(ref_model, x)
+        a_n = scaling(ref_model, 5).a_n
+        # only j = 2 contributes: X_2 = 16, M_3 = -16 mu_A - mu_B
+        assert row["v1"] == pytest.approx(256 / a_n**2)
+        m3 = -16 * ref_model.mu_A - ref_model.mu_B
+        assert row["v2"] == pytest.approx(16 * m3 / a_n**1.5)
 
-    def test_all_zero(self):
-        pair = partial_sums(Trajectory(x=np.zeros(5, dtype=np.int64),
-                                       m=np.zeros(4)), 3.0)
-        assert pair.v1 == 0.0 and pair.v2 == 0.0
+    def test_all_zero(self, ref_model):
+        row = cls_estimate(ref_model, np.zeros(5, dtype=np.int64))
+        assert row["v1"] == 0.0 and row["v2"] == 0.0
 
     def test_integer_oracle(self, ref_model, rng):
-        traj = simulate(ref_model, 300, 1, rng)
-        a_n = 64.0  # power of two: division then multiplication is exact
-        pair = partial_sums(traj, a_n)
-        exact = sum(int(v) ** 2 for v in traj.x[1:-1])
-        assert pair.v1 * a_n**2 == exact
+        x = simulate(ref_model, 300, 1, rng)
+        a_n = scaling(ref_model, 300).a_n
+        # the integer sum is exact in float64, so v1 is its one rounding
+        exact = sum(int(v) ** 2 for v in x[1:-1])
+        assert cls_estimate(ref_model, x)["v1"] == exact / a_n**2
 
-    def test_validates_inputs(self):
-        t = Trajectory(x=np.array([1, 2, 3]), m=np.zeros(2))
-        with pytest.raises(ValueError):
-            partial_sums(t, 0.0)
-        with pytest.raises(ValueError):
-            partial_sums(Trajectory(x=np.array([1, 2]), m=np.zeros(1)), 1.0)
+    def test_validates_inputs(self, ref_model):
+        for bad in (np.zeros((3, 1)), np.zeros((2, 2, 3)), []):
+            with pytest.raises(ValueError):
+                cls_estimate(ref_model, bad)
 
 
 class TestScaledError:
-    def test_zero_when_exact(self):
-        res = cls_estimate([1, 2, 1], 1.0)
-        assert scaled_error(res, res.mu_hat, 9.0) == 0.0
+    def test_zero_when_exact(self, ref_model):
+        # the column is sqrt(a_n)*(mu_hat - mu_A) from the written mu_hat,
+        # so recomputing it from the row leaves exactly zero
+        row = cls_estimate(ref_model, [1, 2, 1])
+        assert row["scaled_error"] - math.sqrt(row["a_n"]) * (
+            row["mu_hat"] - ref_model.mu_A) == 0.0
 
-    def test_undefined_raises(self):
-        res = cls_estimate([0, 0, 0], 1.0)
-        with pytest.raises(ValueError):
-            scaled_error(res, 0.5, 9.0)
+    def test_undefined_is_nan(self, ref_model):
+        # an undefined estimate has no scaled error: the column holds nan
+        rows = cls_estimate(ref_model, [[0, 0, 0], [1, 2, 1]])
+        assert rows["defined"].tolist() == [False, True]
+        assert math.isnan(rows["scaled_error"][0])
+        assert np.isfinite(rows["scaled_error"][1])
 
     def test_ratio_identity_on_shifted_window(self, ref_model, rng):
         # CLS on the shifted path X_1..X_n equals v2/v1 from the pair sums
-        traj = simulate(ref_model, 400, 3, rng)
-        a_n = scaling(ref_model, 398).a_n
-        res = cls_estimate(traj.x[1:], ref_model.mu_B)
-        pair = partial_sums(traj, a_n)
-        lhs = scaled_error(res, ref_model.mu_A, a_n)
-        assert lhs == pytest.approx(pair.v2 / pair.v1, rel=1e-10)
+        x = simulate(ref_model, 400, 3, rng)
+        pair = cls_estimate(ref_model, x)
+        shifted = cls_estimate(ref_model, x[1:])
+        a_n = pair["a_n"]
+        lhs = math.sqrt(a_n) * (shifted["mu_hat"] - ref_model.mu_A)
+        assert lhs == pytest.approx(pair["v2"] / pair["v1"], rel=1e-10)
 
 
 class TestReplicationExperiment:
@@ -134,20 +175,17 @@ class TestReplicationExperiment:
         # 300 reps: block 0 holds 250 chains, block 1 the other 50
         n, reps, seed, tol = 2000, 300, 12, 1e-6
         tab = replication_experiment(ref_model, n, reps, seed, init_tol=tol)
-        a_n = scaling(ref_model, n).a_n
         paths = []
         for b, width in ((0, 250), (1, 50)):
             rng = np.random.default_rng([seed, b])
             inits = stationary_init_many(ref_model, tol, width, rng)
             paths.extend(simulate_batch(ref_model, n, inits, rng))
-        cls = [cls_estimate(x, ref_model.mu_B) for x in paths]
-        pairs = [partial_sums(Trajectory(x=x, m=residuals(ref_model, x)), a_n)
-                 for x in paths]
-        assert all(c.defined for c in cls)
-        assert tab["mu_hat"] == pytest.approx([c.mu_hat for c in cls],
-                                              rel=1e-9)
-        assert tab["v1"] == pytest.approx([p.v1 for p in pairs], rel=1e-9)
-        assert tab["v2"] == pytest.approx([p.v2 for p in pairs], rel=1e-9)
+        assert np.array_equal(tab, cls_estimate(ref_model, np.array(paths)))
+        ref = np.array([_oracle(ref_model, x) for x in paths])
+        assert tab["defined"].all()
+        assert tab["mu_hat"] == pytest.approx(ref[:, 0], rel=1e-9)
+        assert tab["v1"] == pytest.approx(ref[:, 1], rel=1e-9)
+        assert tab["v2"] == pytest.approx(ref[:, 2], rel=1e-9)
 
     def test_seed_table(self):
         assert replication_seeds(250, 7) == [[7, 0]]

@@ -12,13 +12,11 @@ from gwi.process import (
     _REDUCE_BUDGET,
     ModelParams,
     TailOverflowError,
-    Trajectory,
     cascade_depth,
     residuals,
     scaling,
     simulate,
     simulate_batch,
-    stationary_init,
     stationary_init_many,
 )
 
@@ -97,30 +95,27 @@ class TestStationaryInit:
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - ref_model.stationary_mean) < 3 * stderr
 
-    def test_scalar_wrapper(self, ref_model, rng):
-        assert stationary_init(ref_model, 1e-6, rng) >= 0
-
 
 class TestSimulate:
     def test_zero_path(self, ref_model):
-        traj = simulate(ref_model, 50, 0, _ZeroImmigrationRng())
-        assert np.all(traj.x == 0)
-        assert np.allclose(traj.m, -ref_model.mu_B)
+        x = simulate(ref_model, 50, 0, _ZeroImmigrationRng())
+        assert x.shape == (51,) and x.dtype == np.int64
+        assert np.all(x == 0)
+        assert np.allclose(residuals(ref_model, x), -ref_model.mu_B)
 
     def test_reconstruction_identity(self, ref_model, rng):
-        init = stationary_init(ref_model, 1e-6, rng)
-        traj = simulate(ref_model, 2000, init, rng)
-        recon = traj.x[1:] - ref_model.mu_A * traj.x[:-1] - ref_model.mu_B
-        assert np.max(np.abs(traj.m - recon)) == 0.0
+        init = stationary_init_many(ref_model, 1e-6, 1, rng)[0]
+        x = simulate(ref_model, 2000, init, rng)
+        recon = x[1:] - ref_model.mu_A * x[:-1] - ref_model.mu_B
+        assert np.max(np.abs(residuals(ref_model, x) - recon)) == 0.0
 
     def test_determinism(self, ref_model):
         a = simulate(ref_model, 500, 3, np.random.default_rng(11))
         b = simulate(ref_model, 500, 3, np.random.default_rng(11))
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.m, b.m)
+        assert np.array_equal(a, b)
 
     def test_long_run_mean(self, ref_model, rng):
-        traj = simulate(ref_model, 10**6, 2, rng)
-        x = traj.x.astype(np.float64)
+        x = simulate(ref_model, 10**6, 2, rng).astype(np.float64)
         # batch-means stderr over 100 batches
         means = x[1:].reshape(100, -1).mean(axis=1)
         stderr = means.std(ddof=1) / math.sqrt(len(means))
@@ -136,10 +131,6 @@ class TestSimulate:
         bound = 0.7 ** (n - 1)
         stderr = math.sqrt(bound * (1 - bound) / reps)
         assert frac <= bound + 3 * stderr
-
-    def test_trajectory_shape_guard(self):
-        with pytest.raises(ValueError):
-            Trajectory(x=np.array([1, 2, 3]), m=np.array([0.0]))
 
     def test_residuals_batch(self, ref_model, rng):
         paths = simulate_batch(ref_model, 20, np.array([1, 2, 3]), rng)
