@@ -20,17 +20,14 @@ from .limitlaw import (
 )
 from .process import (
     ModelParams,
-    ScalingInfo,
     scaling,
     simulate,
     simulate_batch,
     stationary_init_many,
 )
 from .tailproc import (
-    ForwardTailXM,
     TailPath,
     laplace_functional_gap,
-    sample_forward_tail_xm,
     sample_tail_path,
     validate_pseudo_tail,
 )

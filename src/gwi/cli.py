@@ -56,7 +56,7 @@ _DEFAULTS = {
 _OPEN_RANGES = {
     "alpha": (1.0, 2.0), "mu_A": (0.0, 1.0), "c": (0.0, 1.0),
     "eps": (0.0, math.inf), "tol": (0.0, 1.0), "quantile": (0.0, 1.0),
-    "x": (0.0, math.inf), "beta": (-math.inf, math.inf),
+    "x": (1.0, math.inf), "beta": (-math.inf, math.inf),
     "x_min": (-math.inf, math.inf), "x_max": (-math.inf, math.inf),
 }
 _INT_MINIMA = {"n": 1, "reps": 1, "x_points": 1, "chains": 1, "seed": 0}
@@ -84,7 +84,8 @@ def parse_config(path: str | None) -> dict:
     outside its range raises ``click.UsageError`` naming the key.
     ``compensate`` is true/false/1/0/yes/no, in any case; ``offspring``
     is bernoulli, poisson or geometric; ``s_values`` and ``t_values``
-    are non-empty lists of comma-separated finite floats.
+    are non-empty lists of comma-separated finite floats, and
+    ``laplace-validate`` rejects a negative ``s_values`` entry.
 
     ``tol`` is the truncation tolerance of the stationary start (the mean
     remainder of its backward series).  It does not set the accuracy of
@@ -260,10 +261,14 @@ def _tail_validate(cfg, out_dir, workers):
 
 def _laplace_validate(cfg, out_dir, workers):
     """Laplace functional of the exceedance point process vs its limit."""
+    s_values = _floats(cfg["s_values"])
+    if min(s_values) < 0.0:
+        raise click.UsageError("config key 's_values' must be >= 0 for "
+                               f"laplace-validate, got {cfg['s_values']!r}")
     params = _model(cfg)
-    a_n = process.scaling(params, cfg["n"]).a_n
+    a_n = process.scaling(params, cfg["n"])
     report = tailproc.laplace_functional_gap(
-        params, cfg["eps"], _floats(cfg["s_values"]), cfg["n"], a_n,
+        params, cfg["eps"], s_values, cfg["n"], a_n,
         cfg["reps"], [cfg["seed"], 0], init_tol=cfg["tol"])
     path = _write_json(out_dir / "laplace_report.json", {
         "statistic": "exceedance Laplace functional",
@@ -277,12 +282,10 @@ def _laplace_validate(cfg, out_dir, workers):
 def _karamata(cfg, out_dir, workers):
     """Truncated-moment tail ratio of the exact Pareto law vs its limit."""
     alpha, beta, x = cfg["alpha"], cfg["beta"], cfg["x"]
-    tail = dist.pareto_tail_cdf(alpha)
-    mom = dist.pareto_truncated_moment(alpha, below=beta >= alpha)
     path = _write_json(out_dir / "karamata.json", {
         "statistic": "truncated-moment tail ratio (exact Pareto)",
         "alpha": alpha, "beta": beta, "x": x,
-        "empirical": dist.karamata_ratio(beta, alpha, x, tail, mom),
+        "empirical": dist.karamata_ratio(beta, alpha, x),
         "analytic": dist.karamata_limit(beta, alpha),
     })
     return [path], [], {}, None

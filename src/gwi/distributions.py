@@ -6,7 +6,8 @@ k >= 1, with tail index alpha in (1, 2) so the mean is finite but the
 variance is not.  Offspring counts come from one of three parametric
 families (Bernoulli, Poisson, Geometric) chosen so the total offspring
 of ``parents`` individuals has a closed-form law and can be drawn in
-O(1) regardless of the population size.
+O(1) regardless of the population size.  ``karamata_ratio`` is the
+truncated-moment tail ratio of the exact Pareto law, in closed form.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "sample_aggregate_offspring_many",
     "karamata_ratio",
     "karamata_limit",
-    "pareto_tail_cdf",
-    "pareto_truncated_moment",
 ]
 
 # Comparison slack for the inverse-CDF boundary: accept k when
@@ -143,26 +142,33 @@ def sample_aggregate_offspring_many(
     return out
 
 
-def karamata_ratio(beta, alpha, x, tail_cdf, truncated_moment):
-    """Truncated-moment tail ratio diagnostic.
+def karamata_ratio(beta: float, alpha: float, x: float) -> float:
+    """Truncated-moment tail ratio of the exact Pareto(alpha) law on [1, inf).
 
-    For a regularly varying law with tail index ``alpha``:
+    With P(X>x) = x^-alpha for x > 1, the moment truncated on the side
+    where it is finite is chosen from beta itself:
 
-    - beta >= alpha: returns x^beta * P(X>x) / E[X^beta 1{X<=x}], which
-      converges to (beta-alpha)/alpha as x grows;
-    - beta < alpha: returns x^beta * P(X>x) / E[X^beta 1{X>x}], which
-      converges to (alpha-beta)/alpha.
+    - beta >= alpha: returns x^beta * P(X>x) / E[X^beta 1{X<=x}], where
+      E[X^beta 1{X<=x}] = alpha/(beta-alpha) * (x^(beta-alpha) - 1), or
+      alpha*log(x) at beta = alpha; it converges to (beta-alpha)/alpha;
+    - beta < alpha: returns x^beta * P(X>x) / E[X^beta 1{X>x}], where
+      E[X^beta 1{X>x}] = alpha/(alpha-beta) * x^(beta-alpha); it equals
+      (alpha-beta)/alpha for every x.
 
-    ``tail_cdf(x)`` must return P(X>x) and ``truncated_moment(beta, x)``
-    the matching truncated moment (below x in the first form, above x in
-    the second).
+    Karamata's theorem gives the same limits for every law whose tail is
+    regularly varying with index alpha.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    mom = truncated_moment(beta, x)
+    if not x > 1.0:
+        raise ValueError(f"x must exceed 1, got {x!r}")
+    if beta == alpha:
+        mom = alpha * math.log(x)
+    elif beta > alpha:
+        mom = alpha / (beta - alpha) * (x ** (beta - alpha) - 1.0)
+    else:
+        mom = alpha / (alpha - beta) * x ** (beta - alpha)
     if mom <= 0:
         raise ValueError("truncated moment must be positive")
-    return x**beta * tail_cdf(x) / mom
+    return x**beta * x**-alpha / mom
 
 
 def karamata_limit(beta, alpha):
@@ -170,34 +176,3 @@ def karamata_limit(beta, alpha):
     if beta >= alpha:
         return (beta - alpha) / alpha
     return (alpha - beta) / alpha
-
-
-def pareto_tail_cdf(alpha: float):
-    """Survival function of the exact Pareto(alpha) law on [1, inf)."""
-
-    def tail(x):
-        return 1.0 if x <= 1.0 else x**-alpha
-
-    return tail
-
-
-def pareto_truncated_moment(alpha: float, below: bool = True):
-    """Closed-form truncated moments of the exact Pareto(alpha) on [1, inf).
-
-    below=True gives E[X^beta 1{X<=x}]; below=False gives E[X^beta 1{X>x}]
-    (the latter requires beta < alpha).
-    """
-
-    def moment(beta, x):
-        if below:
-            if x <= 1.0:
-                return 0.0
-            if beta == alpha:
-                return alpha * math.log(x)
-            return alpha / (beta - alpha) * (x ** (beta - alpha) - 1.0)
-        if beta >= alpha:
-            raise ValueError("upper truncated moment diverges for beta >= alpha")
-        xx = max(x, 1.0)
-        return alpha / (alpha - beta) * xx ** (beta - alpha)
-
-    return moment

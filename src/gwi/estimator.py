@@ -111,7 +111,7 @@ def _rows(params: ModelParams, n: int, sums: np.ndarray) -> np.ndarray:
     mu_hat near mu_A, but would differ from that recomputation by up to
     about 1e-9 relative.
     """
-    a_n = scaling(params, n).a_n
+    a_n = scaling(params, n)
     num, den, s_x2, s_xm = sums
     defined = den > 0
     mu_hat = np.where(defined, num / np.where(defined, den, 1.0), np.nan)

@@ -12,7 +12,12 @@ stationary tail inherits the immigration tail up to the factor
 
 Residuals M_i = X_i - mu_A*X_{i-1} - mu_B form a martingale difference
 sequence; the normalising sequence a_n solves n*P(X_0 > a_n) -> 1 and
-grows like n**(1/alpha).
+grows like n**(1/alpha): ``scaling`` returns its closed form
+(n*c/theta)**(1/alpha).
+
+``simulate_batch`` steps chains forward in time;
+``stationary_init_many`` runs its own Horner loop over the backward
+series of the stationary start.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .distributions import (
 
 __all__ = [
     "ModelParams",
-    "ScalingInfo",
     "TailOverflowError",
     "cascade_depth",
     "stationary_init_many",
@@ -88,16 +92,6 @@ class ModelParams:
     @property
     def stationary_mean(self) -> float:
         return self.mu_B / (1.0 - self.mu_A)
-
-
-@dataclass(frozen=True)
-class ScalingInfo:
-    """Normalising value a_n for a horizon n."""
-
-    n: int
-    a_n: float
-    mode: str
-    theta: float
 
 
 def cascade_depth(params: ModelParams, tol: float) -> int:
@@ -202,28 +196,13 @@ def simulate(
     return simulate_batch(params, n, np.array([init], dtype=np.int64), rng)[0]
 
 
-def scaling(
-    params: ModelParams, n: int, mode: str = "analytic", sample=None
-) -> ScalingInfo:
+def scaling(params: ModelParams, n: int) -> float:
     """Normalising value a_n for horizon n.
 
-    analytic mode solves n * (c/theta) * a_n**(-alpha) = 1 using the
-    asymptotic stationary tail, giving a_n = (n*c/theta)**(1/alpha);
-    empirical-quantile mode takes the maximum of 1 and the (1 - 1/n)
-    lower quantile of a supplied stationary sample, which must hold at
-    least 10*n draws.
+    Solves n * (c/theta) * a_n**(-alpha) = 1 with the asymptotic
+    stationary tail P(X_0 > x) ~ (c/theta) * x**(-alpha), giving
+    a_n = (n*c/theta)**(1/alpha).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    theta = params.theta
-    if mode == "analytic":
-        a_n = (n * params.c / theta) ** (1.0 / params.alpha)
-    elif mode == "empirical-quantile":
-        if sample is None or len(sample) < 10 * n:
-            raise ValueError("insufficient tail sample")
-        q = float(np.quantile(np.asarray(sample), 1.0 - 1.0 / n,
-                              method="inverted_cdf"))
-        a_n = max(1.0, q)
-    else:
-        raise ValueError(f"unknown scaling mode {mode!r}")
-    return ScalingInfo(n=n, a_n=a_n, mode=mode, theta=theta)
+    return (n * params.c / params.theta) ** (1.0 / params.alpha)

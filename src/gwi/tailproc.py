@@ -6,10 +6,10 @@ Y_i = mu_A^i * 1{K >= -i} * Y_0 for i < 0, with Y_0 Pareto(alpha) on
 [1, inf) and K geometric: P(K = k) = mu_A^{alpha k} * (1 - mu_A^alpha).
 The validators here tie long simulations to that limit: the conditional
 law of the scaled residual W'_0 = M_1/sqrt(X_0) approaches
-N(0, sigma_A2), the point process of exceedances has an explicitly
-computable Laplace functional, and the forward tail process of the pair
-(X^{3/2}, X*M) has tail index 2*alpha/3 with an exactly sampleable
-front law.
+N(0, sigma_A2), and the point process of exceedances has a closed-form
+Laplace functional.  The forward tail process of the pair
+(X^{3/2}, X*M) has tail index 2*alpha/3; its front pair is sampled
+exactly by ``sample_forward_front_many``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from .process import ModelParams, simulate_batch, stationary_init_many
 
 __all__ = [
     "TailPath",
-    "ForwardTailXM",
     "PseudoTailReport",
     "sample_tail_path",
-    "sample_forward_tail_xm",
     "sample_forward_front_many",
     "forward_tail_normalization",
     "run_stationary_batch",
@@ -50,15 +48,6 @@ class TailPath:
     def value(self, i: int) -> float:
         m = (len(self.y) - 1) // 2
         return float(self.y[i + m])
-
-
-@dataclass(frozen=True)
-class ForwardTailXM:
-    """Forward tail path of (X^{3/2}, X*M): pairs for lags 0..m."""
-
-    ytilde: float
-    z0: float
-    path: np.ndarray  # shape (m+1, 2)
 
 
 def sample_tail_path(
@@ -130,23 +119,6 @@ def sample_forward_front_many(
     ypareto = rng.random(size) ** (-1.0 / (2.0 * alpha / 3.0))
     ytilde = ypareto / np.maximum(1.0, np.abs(z))
     return ytilde, z
-
-
-def sample_forward_tail_xm(
-    alpha: float, mu_A: float, sigma_A2: float, m: int, rng: np.random.Generator
-) -> ForwardTailXM:
-    """One forward tail path of (X^{3/2}, X*M) over lags 0..m."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    ytilde, z0 = sample_forward_front_many(alpha, sigma_A2, 1, rng)
-    yt, z0 = float(ytilde[0]), float(z0[0])
-    z = np.empty(m + 1)
-    z[0] = z0
-    if m:
-        z[1:] = rng.normal(0.0, math.sqrt(sigma_A2), m)
-    decay = mu_A ** (1.5 * np.arange(m + 1))
-    path = np.stack([decay * yt, decay * yt * z], axis=1)
-    return ForwardTailXM(ytilde=yt, z0=z0, path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -243,32 +215,21 @@ def exceedance_counts(
     return counts
 
 
-def laplace_analytic(params: ModelParams, eps: float, s: float,
-                     tol: float = 1e-14) -> float:
-    """Limit Laplace functional for f(x) = s*1{x > eps}.
+def laplace_analytic(params: ModelParams, eps: float, s: float) -> float:
+    """Limit Laplace functional for f(x) = s*1{x > eps}, s >= 0.
 
     A cluster with front value y contributes m points above eps when y
     falls in (eps*mu_A^{-(m-1)}, eps*mu_A^{-m}]; integrating the Pareto
     intensity over those bands gives
-    theta^2 * eps^-alpha * sum_{m>=1} (1 - e^{-s m}) mu_A^{alpha(m-1)}.
+    theta^2 * eps^-alpha * sum_{m>=1} (1 - e^{-s m}) mu_A^{alpha(m-1)},
+    whose geometric sums close to
+    theta * eps^-alpha * (1 - e^{-s}) / (1 - mu_A^alpha * e^{-s}).
     """
-    if s == 0.0:
-        return 0.0
-    a, mu = params.alpha, params.mu_A
-    theta = params.theta
-    total = 0.0
-    weight = 1.0
-    m = 1
-    while True:
-        term = (1.0 - math.exp(-s * m)) * weight
-        total += term
-        weight *= mu**a
-        m += 1
-        if weight < tol:
-            # geometric tail of the (1 - e^{-sm}) -> 1 regime
-            total += weight / (1.0 - mu**a)
-            break
-    return theta**2 * eps**-a * total
+    if not s >= 0.0:
+        raise ValueError(f"s must be nonnegative, got {s!r}")
+    q = params.mu_A**params.alpha
+    return params.theta * eps**-params.alpha * -math.expm1(-s) \
+        / (1.0 - q * math.exp(-s))
 
 
 def laplace_functional_gap(
@@ -286,17 +247,19 @@ def laplace_functional_gap(
     ``s`` may be a scalar or a sequence; the exceedance counts are
     simulated once, from stationary starts truncated at ``init_tol``, and
     reused.  Returns per-s empirical value, analytic value, absolute gap,
-    and a delta-method standard error of the empirical side.
+    and a delta-method standard error of the empirical side.  A negative
+    ``s`` raises ``ValueError`` before any chain is simulated.
     """
+    s_values = [float(sv) for sv in np.atleast_1d(np.asarray(s, np.float64))]
+    analytic = [laplace_analytic(params, eps, sv) for sv in s_values]
     counts = exceedance_counts(params, n, reps, a_n * eps, seed, init_tol)
     out = {}
-    for sv in np.atleast_1d(np.asarray(s, dtype=np.float64)):
+    for sv, ana in zip(s_values, analytic):
         w = np.exp(-sv * counts)
         mean = float(w.mean())
         emp = -math.log(mean)
         stderr = float(w.std(ddof=1)) / math.sqrt(len(w)) / mean
-        ana = laplace_analytic(params, eps, float(sv))
-        out[float(sv)] = {
+        out[sv] = {
             "empirical": emp,
             "analytic": ana,
             "gap": abs(emp - ana),

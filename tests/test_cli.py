@@ -71,7 +71,7 @@ class TestConfig:
         ("t_values", "0.5,abc"), ("x", "-5"), ("x", "0"), ("beta", "inf"),
         ("beta", "nan"), ("x_min", "-inf"), ("x_max", "inf"),
         ("x_max", "nan"), ("s_values", "nan"), ("t_values", "inf,1"),
-        ("s_values", ","),
+        ("s_values", ","), ("x", "0.5"), ("x", "1"),
     ])
     def test_out_of_range_rejected(self, tmp_path, key, value):
         p = tmp_path / "range.cfg"
@@ -189,6 +189,19 @@ class TestRegistry:
         _run(runner, "laplace-validate", "--config", str(cfg),
              "--out", str(tmp_path / "lap"))
         assert seen == [1e-3]
+
+    def test_laplace_rejects_negative_s(self, runner, tmp_path, monkeypatch):
+        # the functional is defined for f = s*1{x > eps} >= 0 only
+        seen = []
+        monkeypatch.setattr(tailproc, "stationary_init_many",
+                            lambda *args: seen.append(args))
+        cfg = tmp_path / "lap.cfg"
+        cfg.write_text(_TINY["laplace-validate"] + "s_values = 0.5,-1\n")
+        result = runner.invoke(main, ["laplace-validate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "lap")])
+        assert result.exit_code == 2
+        assert "'s_values'" in result.output
+        assert seen == []
 
 
 class TestSimulate:

@@ -11,8 +11,6 @@ from gwi.distributions import (
     OffspringLaw,
     karamata_limit,
     karamata_ratio,
-    pareto_tail_cdf,
-    pareto_truncated_moment,
     sample_aggregate_offspring_many,
     sample_immigration_many,
 )
@@ -209,39 +207,38 @@ class TestOffspringLaw:
 class TestKaramata:
     def test_exact_pareto_beta2_frozen(self):
         # closed form: x^2 * x^-a / ((a/(2-a))(x^{2-a}-1)) at x=1e3
-        ratio = karamata_ratio(2.0, 1.5, 1e3, pareto_tail_cdf(1.5),
-                               pareto_truncated_moment(1.5))
+        ratio = karamata_ratio(2.0, 1.5, 1e3)
         assert ratio == pytest.approx(0.344218477344572504, rel=1e-12)
 
     def test_converges_to_limit(self):
-        tail = pareto_tail_cdf(1.5)
-        mom = pareto_truncated_moment(1.5)
-        errs = [abs(karamata_ratio(2.0, 1.5, x, tail, mom) - 1 / 3)
+        errs = [abs(karamata_ratio(2.0, 1.5, x) - 1 / 3)
                 for x in (1e3, 1e5, 1e7)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
 
     def test_beta3_within_one_percent(self):
-        ratio = karamata_ratio(3.0, 1.5, 1e3, pareto_tail_cdf(1.5),
-                               pareto_truncated_moment(1.5))
+        ratio = karamata_ratio(3.0, 1.5, 1e3)
         assert ratio == pytest.approx(1.00003162377663331, rel=1e-12)
         assert abs(ratio - karamata_limit(3.0, 1.5)) < 0.01
 
     def test_beta_below_alpha_exact(self):
-        ratio = karamata_ratio(1.0, 1.5, 1e3, pareto_tail_cdf(1.5),
-                               pareto_truncated_moment(1.5, below=False))
+        ratio = karamata_ratio(1.0, 1.5, 1e3)
         assert ratio == pytest.approx(1 / 3, rel=1e-12)
         assert karamata_limit(1.0, 1.5) == pytest.approx(1 / 3)
 
     def test_beta_equal_alpha_limit_zero(self):
         assert karamata_limit(1.5, 1.5) == 0.0
 
-    def test_upper_moment_rejects_beta_at_least_alpha(self):
-        mom = pareto_truncated_moment(1.5, below=False)
-        with pytest.raises(ValueError):
-            mom(1.5, 10.0)
+    def test_beta_equal_alpha_uses_log_moment(self):
+        # the upper moment diverges at beta = alpha; the lower one is
+        # alpha*log(x), so the ratio is 1/(alpha*log(x))
+        assert karamata_ratio(1.5, 1.5, 10.0) == \
+            pytest.approx(1 / (1.5 * math.log(10.0)), rel=1e-15)
 
     def test_rejects_nonpositive_x(self):
-        with pytest.raises(ValueError):
-            karamata_ratio(2.0, 1.5, 0.0, pareto_tail_cdf(1.5),
-                           pareto_truncated_moment(1.5))
+        # and every x <= 1: P(X > x) = 1 there, and the lower truncated
+        # moment is zero
+        for beta in (1.0, 1.5, 2.0):
+            for x in (0.0, 0.5, 1.0, math.nan):
+                with pytest.raises(ValueError, match="x must exceed 1"):
+                    karamata_ratio(beta, 1.5, x)

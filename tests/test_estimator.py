@@ -37,7 +37,7 @@ def _oracle_terms(params, x):
 def _oracle(params, x):
     """Reference (mu_hat, v1, v2) of one path by exact (fsum) summation."""
     t = {k: math.fsum(v) for k, v in _oracle_terms(params, x).items()}
-    a_n = scaling(params, len(x) - 1).a_n
+    a_n = scaling(params, len(x) - 1)
     mu_hat = t["num"] / t["den"] if t["den"] > 0 else math.nan
     return mu_hat, t["x2"] / a_n**2, t["xm"] / a_n**1.5
 
@@ -46,7 +46,7 @@ class TestClsEstimate:
     def test_hand_example(self, ref_model):
         mu_A, mu_B = ref_model.mu_A, ref_model.mu_B
         row = cls_estimate(ref_model, [1, 2, 1])
-        a_n = scaling(ref_model, 2).a_n
+        a_n = scaling(ref_model, 2)
         assert row["defined"] and row["n"] == 2 and row["a_n"] == a_n
         # num = 1*(2 - mu_B) + 2*(1 - mu_B), den = 1 + 4
         assert row["mu_hat"] == pytest.approx((4 - 3 * mu_B) / 5)
@@ -111,7 +111,7 @@ class TestPartialSums:
         x = np.zeros(6, dtype=np.int64)
         x[2] = 16
         row = cls_estimate(ref_model, x)
-        a_n = scaling(ref_model, 5).a_n
+        a_n = scaling(ref_model, 5)
         # only j = 2 contributes: X_2 = 16, M_3 = -16 mu_A - mu_B
         assert row["v1"] == pytest.approx(256 / a_n**2)
         m3 = -16 * ref_model.mu_A - ref_model.mu_B
@@ -123,7 +123,7 @@ class TestPartialSums:
 
     def test_integer_oracle(self, ref_model, rng):
         x = simulate(ref_model, 300, 1, rng)
-        a_n = scaling(ref_model, 300).a_n
+        a_n = scaling(ref_model, 300)
         # the integer sum is exact in float64, so v1 is its one rounding
         exact = sum(int(v) ** 2 for v in x[1:-1])
         assert cls_estimate(ref_model, x)["v1"] == exact / a_n**2

@@ -212,35 +212,18 @@ class TestReduceMode:
 
 class TestScaling:
     def test_analytic_oracle(self, ref_model):
-        info = scaling(ref_model, 10**4)
-        assert info.a_n == pytest.approx(278.222593846252465, rel=1e-12)
-        assert info.theta == ref_model.theta
+        assert scaling(ref_model, 10**4) == \
+            pytest.approx(278.222593846252465, rel=1e-12)
 
     def test_analytic_limit_identity(self, ref_model):
         # n^{-1/alpha} a_n equals (c/theta)^{1/alpha} for every n
         target = (ref_model.c / ref_model.theta) ** (1 / ref_model.alpha)
         for n in (10**3, 10**4, 10**5, 10**6):
-            info = scaling(ref_model, n)
-            assert info.a_n * n ** (-1 / ref_model.alpha) == \
+            assert scaling(ref_model, n) * n ** (-1 / ref_model.alpha) == \
                 pytest.approx(target, rel=1e-12)
 
     def test_growth_and_sublinearity(self, ref_model):
         ns = [10**3, 10**4, 10**5, 10**6]
-        a = [scaling(ref_model, n).a_n for n in ns]
+        a = [scaling(ref_model, n) for n in ns]
         assert all(a2 > a1 for a1, a2 in zip(a, a[1:]))
         assert all(an / n < 1 for an, n in zip(a, ns))
-
-    def test_empirical_mode_needs_sample(self, ref_model):
-        with pytest.raises(ValueError, match="insufficient tail sample"):
-            scaling(ref_model, 100, mode="empirical-quantile", sample=[1.0])
-
-    def test_empirical_mode_quantile(self, ref_model, rng):
-        n = 100
-        draws = stationary_init_many(ref_model, 1e-6, 10 * n, rng)
-        info = scaling(ref_model, n, mode="empirical-quantile", sample=draws)
-        assert info.a_n >= 1.0
-        assert info.mode == "empirical-quantile"
-
-    def test_unknown_mode(self, ref_model):
-        with pytest.raises(ValueError):
-            scaling(ref_model, 100, mode="bogus")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from gwi.process import simulate_batch, stationary_init_many
+from gwi.distributions import ImmigrationLaw, OffspringLaw
+from gwi import tailproc
+from gwi.process import ModelParams, simulate_batch, stationary_init_many
 from gwi.tailproc import (
     exceedance_counts,
     forward_tail_normalization,
@@ -12,7 +14,6 @@ from gwi.tailproc import (
     laplace_functional_gap,
     run_stationary_batch,
     sample_forward_front_many,
-    sample_forward_tail_xm,
     sample_tail_path,
     validate_pseudo_tail,
 )
@@ -108,23 +109,47 @@ class TestForwardTail:
         stderr = math.sqrt(want * (1 - want) / len(z0))
         assert abs(emp - want) < 3.5 * stderr
 
-    def test_path_structure(self, rng):
-        alpha, mu, s2, m = 1.5, 0.5, 0.25, 5
-        fw = sample_forward_tail_xm(alpha, mu, s2, m, rng)
-        assert fw.path.shape == (m + 1, 2)
-        assert fw.path[0, 0] == pytest.approx(fw.ytilde)
-        assert fw.path[0, 1] == pytest.approx(fw.ytilde * fw.z0)
-        decay = mu ** (1.5 * np.arange(m + 1))
-        assert np.allclose(fw.path[:, 0], decay * fw.ytilde)
 
-    def test_negative_window_rejected(self, rng):
-        with pytest.raises(ValueError):
-            sample_forward_tail_xm(1.5, 0.5, 0.25, -2, rng)
+# the band series theta^2 eps^-alpha sum_{m>=1} (1 - e^{-sm}) mu_A^{alpha(m-1)}
+# at eps = 0.5, keyed by (alpha, mu_A, s): mpmath.nsum at 50 digits from the
+# float inputs
+LAPLACE_ORACLE = {
+    (1.01, 0.01, 1e-8): 2.0139110898497007719e-8,
+    (1.01, 0.01, 1e-3): 0.0020128850815815772038,
+    (1.01, 0.01, 1.0): 1.2653225822509723294,
+    (1.5, 0.5, 1e-8): 2.8284270951348732127e-8,
+    (1.5, 0.5, 1e-3): 0.0028254688546341096004,
+    (1.5, 0.5, 1.0): 1.3285893859121141558,
+    (1.99, 0.9, 1e-8): 3.9723697915940758016e-8,
+    (1.99, 0.9, 1e-3): 0.0039534448377058373241,
+    (1.99, 0.9, 1.0): 0.67685151388148852286,
+}
 
 
 class TestLaplaceAnalytic:
     def test_zero_at_zero(self, ref_model):
         assert laplace_analytic(ref_model, 0.5, 0.0) == 0.0
+
+    @pytest.mark.parametrize("alpha,mu_A,s", list(LAPLACE_ORACLE))
+    def test_frozen_oracle(self, alpha, mu_A, s):
+        params = ModelParams(offspring=OffspringLaw("poisson", mu_A),
+                             immigration=ImmigrationLaw(alpha, 0.3))
+        want = LAPLACE_ORACLE[alpha, mu_A, s]
+        assert laplace_analytic(params, 0.5, s) == \
+            pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("s", [-1.0, -2.0, math.nan])
+    def test_rejects_negative_s(self, ref_model, s):
+        with pytest.raises(ValueError, match="nonnegative"):
+            laplace_analytic(ref_model, 0.5, s)
+
+    def test_gap_rejects_negative_s_before_simulating(self, ref_model,
+                                                      monkeypatch):
+        monkeypatch.setattr(tailproc, "exceedance_counts",
+                            lambda *args: pytest.fail("chains simulated"))
+        with pytest.raises(ValueError, match="nonnegative"):
+            laplace_functional_gap(ref_model, 0.5, [1.0, -1.0], n=100,
+                                   a_n=10.0, reps=10, seed=0)
 
     def test_saturates_at_intensity(self, ref_model):
         # s -> inf limit is theta * eps^-alpha (every cluster is seen)
