@@ -66,15 +66,23 @@ def tail_run(ref_model):
     return run_stationary_batch(ref_model, 10**7, 100, [MASTER_SEED, 2])
 
 
+# Replications per n for acceptance 05.  Over master seeds 1-11 and 42,
+# the seed-to-seed SD of KS(n=1e5) was 0.0097 at 2000 replications (4 of
+# 12 seeds above 0.06) and 0.0060 at 8000 (none above 0.06, mean 0.050).
+# The first 2000 replications are the same at either count: block b of
+# 250 replications always draws from default_rng([seed, b]).
+_REPS_05 = 8000
+
+
 @pytest.fixture(scope="module")
 def replications_1e5(ref_model):
-    return replication_experiment(ref_model, 10**5, 2000, MASTER_SEED,
+    return replication_experiment(ref_model, 10**5, _REPS_05, MASTER_SEED,
                                   workers=_WORKERS)
 
 
 @pytest.fixture(scope="module")
 def replications_1e4(ref_model):
-    return replication_experiment(ref_model, 10**4, 2000, MASTER_SEED,
+    return replication_experiment(ref_model, 10**4, _REPS_05, MASTER_SEED,
                                   workers=_WORKERS)
 
 
