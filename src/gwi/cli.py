@@ -25,6 +25,9 @@ from scipy import stats as sp_stats
 from . import distributions as dist
 from . import estimator, limitlaw, process, tailproc
 
+# Rows of trajectory.csv formatted per write.
+_CSV_CHUNK = 2**16
+
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
@@ -147,6 +150,29 @@ def write_csv(path: Path, header: list[str] | tuple[str, ...], rows) -> Path:
     return path
 
 
+def _write_trajectory(path: Path, x: np.ndarray, m: np.ndarray) -> Path:
+    """trajectory.csv: the row ``i,X_i,M_i`` for each i, M_0 left empty.
+
+    The bytes are those of one ``_fmt`` call per cell.  A path has few
+    distinct residuals, so each distinct value (by bit pattern) is
+    formatted once, and each chunk of rows is joined by one %-operation
+    (%d gives ``_fmt``'s integer text).
+    """
+    _, first, which = np.unique(m.view(np.int64), return_index=True,
+                                return_inverse=True)
+    m_text = np.array([_fmt(v) for v in m[first]], dtype=object)[which]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"i,x,m\n0,{x[0]},\n")
+        for lo in range(0, len(m), _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, len(m))
+            rows = np.empty((hi - lo, 3), dtype=object)
+            rows[:, 0] = range(lo + 1, hi + 1)
+            rows[:, 1] = x[lo + 1: hi + 1].tolist()
+            rows[:, 2] = m_text[lo:hi]
+            fh.write(("%d,%d,%s\n" * len(rows)) % tuple(rows.ravel()))
+    return path
+
+
 def _write_json(path: Path, record: dict) -> Path:
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return path
@@ -176,12 +202,7 @@ def _simulate(cfg, out_dir, workers):
     init = process.stationary_init_many(params, cfg["tol"], 1, rng)[0]
     x = process.simulate(params, cfg["n"], init, rng)
     m = process.residuals(params, x)
-    path = out_dir / "trajectory.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("i,x,m\n")
-        fh.write(f"0,{x[0]},\n")
-        for i in range(1, len(x)):
-            fh.write(f"{i},{x[i]},{_fmt(m[i - 1])}\n")
+    path = _write_trajectory(out_dir / "trajectory.csv", x, m)
     meta = _write_json(out_dir / "trajectory_meta.json", {
         "alpha": cfg["alpha"], "mu_A": cfg["mu_A"], "c": cfg["c"],
         "offspring": cfg["offspring"], "mu_B": params.mu_B,
@@ -312,13 +333,25 @@ def _build_id() -> str:
 
 
 def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
-    """Run one experiment of ``EXPERIMENTS``; returns a summary dict."""
+    """Run one experiment of ``EXPERIMENTS``; returns a summary dict.
+
+    If the experiment raises (a rejected config, say), the directories
+    this call made are removed again while they are empty.
+    """
     if experiment not in EXPERIMENTS:
         raise click.UsageError(f"unknown experiment {experiment!r}")
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    files, seed_table, summary, health = EXPERIMENTS[experiment](
-        cfg, out_dir, workers)
+    try:
+        files, seed_table, summary, health = EXPERIMENTS[experiment](
+            cfg, out_dir, workers)
+    except BaseException:
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     manifest = {
         "experiment": experiment,
         "config": {k: (v if isinstance(v, (int, float, str)) else str(v))

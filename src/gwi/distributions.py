@@ -150,7 +150,9 @@ def karamata_ratio(beta: float, alpha: float, x: float) -> float:
 
     - beta >= alpha: returns x^beta * P(X>x) / E[X^beta 1{X<=x}], where
       E[X^beta 1{X<=x}] = alpha/(beta-alpha) * (x^(beta-alpha) - 1), or
-      alpha*log(x) at beta = alpha; it converges to (beta-alpha)/alpha;
+      alpha*log(x) at beta = alpha; it converges to (beta-alpha)/alpha.
+      The difference is formed by ``expm1``, so it stays positive for
+      beta just above alpha and x just above 1;
     - beta < alpha: returns x^beta * P(X>x) / E[X^beta 1{X>x}], where
       E[X^beta 1{X>x}] = alpha/(alpha-beta) * x^(beta-alpha); it equals
       (alpha-beta)/alpha for every x.
@@ -163,7 +165,7 @@ def karamata_ratio(beta: float, alpha: float, x: float) -> float:
     if beta == alpha:
         mom = alpha * math.log(x)
     elif beta > alpha:
-        mom = alpha / (beta - alpha) * (x ** (beta - alpha) - 1.0)
+        mom = alpha / (beta - alpha) * math.expm1((beta - alpha) * math.log(x))
     else:
         mom = alpha / (alpha - beta) * x ** (beta - alpha)
     if mom <= 0:

@@ -15,7 +15,13 @@ sequence; the normalising sequence a_n solves n*P(X_0 > a_n) -> 1 and
 grows like n**(1/alpha): ``scaling`` returns its closed form
 (n*c/theta)**(1/alpha).
 
-``simulate_batch`` steps chains forward in time;
+``simulate_batch`` is the one engine that steps chains forward.  It
+uses the immigration-cluster form of the chain: X_t is the sum of
+independent families, one for X_0 and one for each batch B_i, each
+contributing the size of its generation t - i (the branching property).
+A block of steps is filled one generation at a time, and
+``step_batch`` is the per-generation kernel: the overflow guard plus
+the aggregate offspring of every live family.
 ``stationary_init_many`` runs its own Horner loop over the backward
 series of the stationary start.
 """
@@ -49,8 +55,11 @@ __all__ = [
 _OVERFLOW_LIMIT = 2**62
 
 # Chain-steps per ``simulate_batch`` block: each block's immigration is
-# drawn at once, and in reduce mode the block is handed to the reducer.
-_REDUCE_BUDGET = 2**15
+# drawn at once, its families run until they die out or leave it, and in
+# reduce mode the block is handed to the reducer.  At the reference point
+# on 2 shared vCPUs, 2**17 cost 75-78 ns per chain-step at widths 1-500,
+# against 85-90 ns at 2**15 and 74-90 ns at 2**19.
+_REDUCE_BUDGET = 2**17
 
 
 class TailOverflowError(RuntimeError):
@@ -132,9 +141,10 @@ def stationary_init_many(
 def step_batch(
     params: ModelParams, x: np.ndarray, b: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One transition of independent chains: offspring of ``x`` plus ``b``.
+    """One generation of independent families: offspring of ``x`` plus ``b``.
 
-    ``b`` is the step's immigration, drawn ahead by ``simulate_batch``.
+    ``simulate_batch`` calls it once per generation with the sizes of the
+    live families and ``b = 0``.
     """
     if x.max(initial=0) > _OVERFLOW_LIMIT:
         raise TailOverflowError("trajectory exceeded the safe integer range")
@@ -150,17 +160,26 @@ def simulate_batch(
 ) -> np.ndarray | None:
     """Simulate independent chains side by side for n steps.
 
-    The steps run in blocks of T = max(1, 2**15 // chains) (the last
-    block may be shorter).  Immigration does not depend on the state, so
-    each block first draws its (T, chains) immigration from one
-    ``rng.random((T, chains))`` call and then steps through it, drawing
-    the offspring step by step.
+    The steps run in blocks of T = max(1, _REDUCE_BUDGET // chains) (the
+    last block may be shorter).  Immigration does not depend on the
+    state, so each block first draws its (T, chains) immigration from one
+    ``rng.random((T, chains))`` call.  The block is then filled by
+    immigration clusters: its window holds X_0 in column 0 and B_i in
+    column i, and each nonzero entry in columns 0 .. T-1 starts a family
+    whose generation k is added into column origin + k.  One
+    ``step_batch`` call per generation draws the offspring of every live
+    family; families that die out or leave the block are dropped, so a
+    block takes as many passes as its longest surviving family, not T.
+    The next block starts from X_T as one family, which is exact in law
+    by the Markov property.
 
     Without ``reduce`` returns the (chains, n+1) int64 path matrix.  With
     it, the path is not stored: ``reduce(block)`` receives successive
     (chains, T+1) int64 blocks whose column 0 is the previous block's
     last state (X_0 for the first block), and None is returned.  The
     block is a reused buffer, so a reducer that keeps it must copy it.
+    A value above 2**62 raises ``TailOverflowError`` before its block
+    reaches the reducer.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -174,12 +193,28 @@ def simulate_batch(
         t = min(steps, n - start)
         col = start if reduce is None else 0
         b = sample_immigration_many(params.immigration, rng.random((t, chains)))
-        for i in range(t):
-            x = step_batch(params, x, b[i], rng)
-            out[:, col + i + 1] = x
+        # time-major window: row i holds column i of the block.  Its
+        # nonzero entries in rows 0 .. t-1 start the families; a family's
+        # next generation lands one row (``chains`` entries) further on.
+        # ``pos`` stays sorted, so the families that can still step
+        # (pos < end) are a prefix of it.
+        window = np.concatenate([x[None], b])
+        flat = window.reshape(-1)
+        pos = np.flatnonzero(window[:t])
+        size = flat[pos]
+        end = t * chains
+        while live := np.searchsorted(pos, end):
+            size = step_batch(params, size[:live], 0, rng)
+            pos = pos[:live] + chains
+            flat[pos] += size
+            alive = np.flatnonzero(size)
+            size, pos = size[alive], pos[alive]
+        if window.max(initial=0) > _OVERFLOW_LIMIT:
+            raise TailOverflowError("trajectory exceeded the safe integer range")
+        out[:, col: col + t + 1] = window.T
+        x = window[t]
         if reduce is not None:
             reduce(out[:, : t + 1])
-            out[:, 0] = x
     return out if reduce is None else None
 
 

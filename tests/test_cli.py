@@ -8,7 +8,15 @@ import pytest
 from click.testing import CliRunner
 
 from gwi import limitlaw, process, tailproc
-from gwi.cli import EXPERIMENTS, main, parse_config, run, write_csv
+from gwi.cli import (
+    EXPERIMENTS,
+    _fmt,
+    _write_trajectory,
+    main,
+    parse_config,
+    run,
+    write_csv,
+)
 from gwi.limitlaw import LimitParams, truncation_bounds
 
 
@@ -203,8 +211,56 @@ class TestRegistry:
         assert "'s_values'" in result.output
         assert seen == []
 
+    def test_rejected_config_leaves_no_directory(self, runner, tmp_path):
+        cfg = tmp_path / "lap.cfg"
+        cfg.write_text(_TINY["laplace-validate"] + "s_values = -1\n")
+        out = tmp_path / "new" / "lap"
+        result = runner.invoke(main, ["laplace-validate", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert not (tmp_path / "new").exists()
+        # a directory that existed before the run is kept
+        out.mkdir(parents=True)
+        result = runner.invoke(main, ["laplace-validate", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2 and out.is_dir()
+
+
+def _per_row_trajectory(path, x, m):
+    """The trajectory.csv writer ``_write_trajectory`` replaced: one
+    formatted write per row, kept as the byte oracle."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("i,x,m\n")
+        fh.write(f"0,{x[0]},\n")
+        for i in range(1, len(x)):
+            fh.write(f"{i},{x[i]},{_fmt(m[i - 1])}\n")
+
 
 class TestSimulate:
+    def test_trajectory_matches_per_row_writer(self, ref_model, tmp_path):
+        rng = np.random.default_rng(8)
+        sim = process.simulate(ref_model, 3000, 4, rng)
+        wide = np.array([0, 2**62, 1, 2**62 - 1, 10**15 + 1, 0, 7, 7, 3])
+        for x in (sim, wide, sim[:2]):
+            for m in (process.residuals(ref_model, x),
+                      rng.standard_normal(len(x) - 1) * 1e10,
+                      np.resize([0.0, -0.0, 0.5, np.nan, -np.inf],
+                                len(x) - 1)):
+                _write_trajectory(tmp_path / "new.csv", x, m)
+                _per_row_trajectory(tmp_path / "old.csv", x, m)
+                assert (tmp_path / "new.csv").read_bytes() == \
+                    (tmp_path / "old.csv").read_bytes()
+
+    def test_trajectory_chunks(self, ref_model, tmp_path, monkeypatch):
+        # rows split over several formatting chunks, the last one short
+        monkeypatch.setattr("gwi.cli._CSV_CHUNK", 7)
+        x = process.simulate(ref_model, 30, 2, np.random.default_rng(9))
+        m = process.residuals(ref_model, x)
+        _write_trajectory(tmp_path / "new.csv", x, m)
+        _per_row_trajectory(tmp_path / "old.csv", x, m)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
     def test_trajectory_and_sidecar(self, runner, tmp_path):
         out = tmp_path / "sim"
         _run(runner, "simulate", "--seed", "5", "--out", str(out))

@@ -235,6 +235,12 @@ class TestKaramata:
         assert karamata_ratio(1.5, 1.5, 10.0) == \
             pytest.approx(1 / (1.5 * math.log(10.0)), rel=1e-15)
 
+    def test_beta_just_above_alpha_near_one(self):
+        # x**(beta - alpha) - 1 rounds to 0 here; the 50-digit value of the
+        # closed form at these float inputs is 6666666.99610754663452546
+        assert karamata_ratio(1.5000000001, 1.5, 1.0000001) == \
+            pytest.approx(6666666.99610754663452546, rel=1e-12)
+
     def test_rejects_nonpositive_x(self):
         # and every x <= 1: P(X > x) = 1 there, and the lower truncated
         # moment is zero

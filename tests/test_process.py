@@ -6,6 +6,7 @@ import pytest
 from gwi.distributions import (
     ImmigrationLaw,
     OffspringLaw,
+    sample_aggregate_offspring_many,
     sample_immigration_many,
 )
 from gwi.process import (
@@ -53,6 +54,22 @@ class _RecordingRng:
     def poisson(self, lam):
         self.calls.append(("poisson", np.shape(lam)))
         return np.zeros(np.shape(lam), dtype=np.int64)
+
+
+def _per_step_loop(params, n, inits, rng):
+    """The engine the cluster engine replaced, kept as the oracle in law.
+
+    X_i = (offspring of X_(i-1)) + B_i, one transition of every chain at
+    a time, with fresh uniforms for each step's immigration.
+    """
+    x = np.asarray(inits, dtype=np.int64)
+    out = np.empty((len(x), n + 1), dtype=np.int64)
+    out[:, 0] = x
+    for i in range(n):
+        b = sample_immigration_many(params.immigration, rng.random(len(x)))
+        x = sample_aggregate_offspring_many(params.offspring, x, rng) + b
+        out[:, i + 1] = x
+    return out
 
 
 class _DoublingRng:
@@ -174,21 +191,27 @@ class TestReduceMode:
     @pytest.mark.parametrize("n", [70, 64, 5])
     def test_immigration_drawn_per_block(self, ref_model, n):
         # with zero offspring X_i = B_i: the path must be the recorded
-        # (t, chains) uniforms mapped through the immigration kernel, one
-        # random call per block, ahead of the block's offspring draws
-        chains = 1024
-        steps = _REDUCE_BUDGET // chains
+        # (t, chains) uniforms mapped through the immigration kernel.  Each
+        # block makes one random call, then one offspring call for its
+        # first generation: the nonzero X_0 and B_1 .. B_(t-1), whose
+        # families all die there
+        steps = 32
+        chains = _REDUCE_BUDGET // steps
         fake = _RecordingRng(5)
         path = simulate_batch(ref_model, n, np.arange(chains), fake)
-        sizes = [min(steps, n - s) for s in range(0, n, steps)]
+        starts = range(0, n, steps)
+        sizes = [min(steps, n - s) for s in starts]
         assert [u.shape for u in fake.uniforms] == [(t, chains) for t in sizes]
         b = np.concatenate([sample_immigration_many(ref_model.immigration, u)
                             for u in fake.uniforms])
         assert np.array_equal(path[:, 1:], b.T)
         assert np.array_equal(path[:, 0], np.arange(chains))
         want = []
-        for t in sizes:
-            want += [("random", (t, chains))] + [("poisson", (chains,))] * t
+        for s, t in zip(starts, sizes):
+            want.append(("random", (t, chains)))
+            families = np.count_nonzero(path[:, s: s + t])
+            if families:
+                want.append(("poisson", (families,)))
         assert fake.calls == want
 
         again = _RecordingRng(5)
@@ -198,16 +221,49 @@ class TestReduceMode:
 
     @pytest.mark.parametrize("reduced", [False, True])
     def test_overflow_guard_mid_block(self, ref_model, reduced):
-        # X doubles from 3*2**57 and passes 2**62 at step 4, so the guard
-        # fires before step 5, inside the first block
-        seen = []
+        # X doubles from 3*2**57 and passes 2**62 at step 4, inside the
+        # first block: the run raises and no block reaches the reducer
         inits = np.array([1, 3 * 2**57], dtype=np.int64)
-        with pytest.raises(TailOverflowError):
-            simulate_batch(ref_model, 100, inits, _DoublingRng(),
-                           reduce=seen.append if reduced else None)
-        assert seen == []
-        path = simulate_batch(ref_model, 4, inits, _DoublingRng())
-        assert path[1].tolist() == [3 * 2**k for k in range(57, 62)]
+        for n in (4, 100):
+            seen = []
+            with pytest.raises(TailOverflowError):
+                simulate_batch(ref_model, n, inits, _DoublingRng(),
+                               reduce=seen.append if reduced else None)
+            assert seen == []
+        path = simulate_batch(ref_model, 3, inits, _DoublingRng())
+        assert path.tolist() == [[1, 2, 4, 8],
+                                 [3 * 2**k for k in range(57, 61)]]
+
+
+class TestAgreementInLaw:
+    """The cluster engine and the per-step loop simulate the same chain.
+
+    10.5 blocks of ``steps`` steps: at 4 steps every family is cut within
+    four generations and restarted from X_T, at 64 steps most families
+    die inside their block.  Each statistic is a per-chain time average
+    over independent stationary chains, compared at 4 standard errors.
+    """
+
+    @pytest.mark.parametrize("steps", [4, 64])
+    @pytest.mark.parametrize("family", OffspringLaw.FAMILIES)
+    def test_matches_per_step_loop(self, family, steps):
+        params = ModelParams(OffspringLaw(family, 0.5), ImmigrationLaw(1.5, 0.3))
+        chains, n = _REDUCE_BUDGET // steps, 10 * steps + steps // 2
+        stats = []
+        for engine, seed in ((simulate_batch, 1), (_per_step_loop, 2)):
+            rng = np.random.default_rng(seed)
+            inits = stationary_init_many(params, 1e-6, chains, rng)
+            x = engine(params, n, inits, rng)[:, 1:]
+            capped = np.minimum(x, 50).astype(np.float64)
+            stats.append({
+                "mean": x.mean(axis=1),
+                "P(X=0)": (x == 0).mean(axis=1),
+                "lag-1 product": (capped[:, 1:] * capped[:, :-1]).mean(axis=1),
+            })
+        for name in stats[0]:
+            a, b = stats[0][name], stats[1][name]
+            se = math.sqrt(a.var(ddof=1) / chains + b.var(ddof=1) / chains)
+            assert abs(a.mean() - b.mean()) <= 4 * se, (name, a.mean(), b.mean())
 
 
 class TestScaling:
