@@ -170,15 +170,21 @@ def test_acceptance_06_tail_equivalence(ref_model, tail_run):
             f"0.999-quantile {xq:g} (band [0.85, 1.15])")
 
 
+# Stationary draws pooled for acceptance 07.  Over rng [s, 4], s = 1-20
+# and 42, the relative a_n difference had SD 0.057 at 1e6 draws (2 of 21
+# seeds above 0.10) and 0.030 at 4e6 (none above, largest 0.075).
+_DRAWS_07 = 4 * 10**6
+
+
 def test_acceptance_07_scaling_sequence(ref_model):
     target = (ref_model.c / ref_model.theta) ** (1.0 / ref_model.alpha)
     worst = max(abs(scaling(ref_model, n) * n ** (-1.0 / ref_model.alpha)
                     / target - 1.0)
                 for n in (10**2, 10**3, 10**4, 10**5, 10**6))
     rng = np.random.default_rng([MASTER_SEED, 4])
-    draws = stationary_init_many(ref_model, 1e-6, 10**6, rng)
+    draws = stationary_init_many(ref_model, 1e-6, _DRAWS_07, rng)
     n = 10**4
-    # the (1 - 1/n) quantile of 100*n stationary draws: n*P(X_0 > a_n) = 1
+    # the (1 - 1/n) quantile of 400*n stationary draws: n*P(X_0 > a_n) = 1
     emp = float(np.quantile(draws, 1.0 - 1.0 / n, method="inverted_cdf"))
     ana = scaling(ref_model, n)
     rel = abs(emp / ana - 1.0)
