@@ -255,11 +255,10 @@ def _cdf_table(cfg, out_dir, workers):
 def _cf_table(cfg, out_dir, workers):
     """Joint CF of (V1, V2) on an (s, t) grid (cf.csv)."""
     p = _limit_params(cfg)
-    rows = []
-    for s in _floats(cfg["s_values"]):
-        for t in _floats(cfg["t_values"]):
-            phi = limitlaw.cf_joint(p, s, t)
-            rows.append((s, t, phi.real, phi.imag))
+    s, t = np.meshgrid(_floats(cfg["s_values"]), _floats(cfg["t_values"]),
+                       indexing="ij")
+    phi = limitlaw.cf_joint(p, s, t)
+    rows = zip(s.ravel(), t.ravel(), phi.real.ravel(), phi.imag.ravel())
     path = write_csv(out_dir / "cf.csv", ["s", "t", "re", "im"], rows)
     health = {"tol": limitlaw.CF_RULE_TOL, **limitlaw.cf_rule_health(p)}
     return [path], [], {}, health

@@ -12,10 +12,11 @@ converges to the ratio of a dependent stable pair; the normalised
 partial sums (V_n^1, V_n^2) = (a_n^-2 sum X_j^2, a_n^-3/2 sum X_j M_{j+1})
 are the two coordinates.
 
-One reducer, ``_cls_reducer``, forms these sums in time order.  The
-replication farm feeds it the blocks of ``simulate_batch``;
-``cls_estimate`` feeds it a given path or bundle of paths in one call.
-Both return rows of ``REPLICATION_FIELDS``.
+One reducer, ``_cls_reducer``, forms these sums in time order over
+time-major (T+1, chains) blocks.  The replication farm hands it the
+windows of ``simulate_batch`` as they are; ``cls_estimate`` feeds it
+the transpose of a given path or bundle of paths in one call.  Both
+return rows of ``REPLICATION_FIELDS``.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def replication_seeds(reps: int, seed: int) -> list[list[int]]:
 def _cls_reducer(params: ModelParams, width: int):
     """Zeroed CLS sums of ``width`` chains and the reducer that adds to them.
 
-    ``reduce(block)`` takes successive (width, T+1) blocks whose column 0
-    is the previous block's last state (X_0 for the first block), as
+    ``reduce(block)`` takes successive (T+1, width) blocks whose row 0 is
+    the previous block's last state (X_0 for the first block), as
     ``simulate_batch`` hands them over.  The estimator sums run over the
     window i = 1..n, the pair sums over the shifted window j = 1..n-1.
     """
@@ -85,7 +86,7 @@ def _cls_reducer(params: ModelParams, width: int):
         # Row i of ``terms`` holds the step-i terms, row 0 the running
         # sums; summing over the outer axis adds them in time order.
         nonlocal first
-        f = block.T.astype(np.float64, order="C")
+        f = block.astype(np.float64)
         prev, cur = f[:-1], f[1:]
         terms = np.empty((len(f), 4, width))
         terms[0] = sums
@@ -141,7 +142,7 @@ def cls_estimate(params: ModelParams, x) -> np.ndarray:
                          "least two path values")
     paths = np.atleast_2d(x)
     sums, reduce = _cls_reducer(params, len(paths))
-    reduce(paths)
+    reduce(paths.T)
     rows = _rows(params, paths.shape[1] - 1, sums)
     return rows[0] if x.ndim == 1 else rows
 

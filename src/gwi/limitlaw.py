@@ -284,11 +284,16 @@ def cf_rule_health(p: LimitParams) -> dict:
     return {"cf_nodes": rule.n, "cf_rule_error": rule.error}
 
 
-def _cf_exponent(p: LimitParams, s, t) -> np.ndarray:
-    """The Poisson integral J(s, t), phi = exp(theta J), over arrays.
+def cf_log(p: LimitParams, s, t):
+    """Continuous logarithm theta*J(s, t) of the joint CF, over arrays.
 
-    With L = max(|st|^{1/2}, tt^{1/3}), J(st, tt) = L^alpha J(st/L^2, tt/L^3)
-    lies on the normalised set, and J(-st, tt) = conj J(st, tt).
+    Unlike log(cf_joint(...)), this never wraps at the principal
+    branch, which is what makes the stability identity
+    cf(a^{2/alpha} s, a^{3/(2 alpha)} t) = exp(a * cf_log(s, t))
+    directly checkable.  With L = max(|st|^{1/2}, tt^{1/3}),
+    J(st, tt) = L^alpha J(st/L^2, tt/L^3) lies on the normalised set, and
+    J(-st, tt) = conj J(st, tt).  ``s`` and ``t`` broadcast; scalars give
+    a complex scalar.
     """
     m = p.mu_A
     st = np.asarray(s, dtype=np.float64) / (1.0 - m**2)
@@ -298,23 +303,12 @@ def _cf_exponent(p: LimitParams, s, t) -> np.ndarray:
     safe = np.where(big > 0.0, big, 1.0)  # J(0, 0) = 0 either way
     jn = _normalised_exponent(_cf_rule(p.alpha), np.abs(st / safe**2).ravel(),
                               (tt / safe**3).ravel()).reshape(st.shape)
-    return big**p.alpha * np.where(st < 0.0, np.conj(jn), jn)
+    return p.theta * (big**p.alpha * np.where(st < 0.0, np.conj(jn), jn))
 
 
-def cf_log(p: LimitParams, s: float, t: float) -> complex:
-    """Continuous logarithm of the joint CF (the Poisson exponent).
-
-    Unlike log(cf_joint(...)), this never wraps at the principal
-    branch, which is what makes the stability identity
-    cf(a^{2/alpha} s, a^{3/(2 alpha)} t) = exp(a * cf_log(s, t))
-    directly checkable.
-    """
-    return complex(p.theta * _cf_exponent(p, float(s), float(t)))
-
-
-def cf_joint(p: LimitParams, s: float, t: float) -> complex:
-    """Joint characteristic function E exp(i s V1 + i t V2)."""
-    return complex(np.exp(cf_log(p, s, t)))
+def cf_joint(p: LimitParams, s, t):
+    """Joint characteristic function E exp(i s V1 + i t V2), over arrays."""
+    return np.exp(cf_log(p, s, t))
 
 
 def cf_marginals(p: LimitParams, s: float, t: float) -> tuple[complex, float]:
@@ -368,7 +362,7 @@ def _cdf_positive(p: LimitParams, x: float, tol: float) -> float:
 
     def f(w):
         u = w ** (2.0 / a)
-        return (2.0 / a) * np.exp(p.theta * _cf_exponent(p, -u * x, u)).imag / w
+        return (2.0 / a) * cf_joint(p, -u * x, u).imag / w
 
     try:
         val, err = gauss_kronrod(f, 0.0, w_max, math.pi * budget,

@@ -15,15 +15,15 @@ sequence; the normalising sequence a_n solves n*P(X_0 > a_n) -> 1 and
 grows like n**(1/alpha): ``scaling`` returns its closed form
 (n*c/theta)**(1/alpha).
 
-``simulate_batch`` is the one engine that steps chains forward.  It
+``simulate_batch`` is the only code that steps chains forward.  It
 uses the immigration-cluster form of the chain: X_t is the sum of
 independent families, one for X_0 and one for each batch B_i, each
 contributing the size of its generation t - i (the branching property).
 A block of steps is filled one generation at a time, and
 ``step_batch`` is the per-generation kernel: the overflow guard plus
-the aggregate offspring of every live family.
-``stationary_init_many`` runs its own Horner loop over the backward
-series of the stationary start.
+the aggregate offspring of every live family.  The stationary start
+``stationary_init_many`` is the same engine run from X_0 = 0, so there
+is no second stepping loop.
 """
 
 from __future__ import annotations
@@ -122,33 +122,34 @@ def stationary_init_many(
 
     The stationary law is B_0 plus, for each past lag i, the survivors of
     the immigration batch B_{-i} thinned through i offspring generations.
-    The truncated sum over lags 0..I is evaluated in nested (Horner) form
-
-        S <- B_{-I};  S <- B_{-i} + thin(S)  for i = I-1 .. 0,
-
-    which has the same law as summing independent cascades because
-    branching of a merged population splits into independent branches.
-    I is the smallest depth whose mean remainder is below ``tol``.
+    Truncated at the lags 0..I, the sum is the chain run from X_0 = 0 for
+    I + 1 steps: X_1 = B_{-I}, then X <- thin(X) + B_{-i} for
+    i = I-1 .. 0.  So the draws are the last states of ``size`` chains of
+    ``simulate_batch``.  I is the smallest depth whose mean remainder is
+    below ``tol``.
     """
-    depth = cascade_depth(params, tol)
-    s = sample_immigration_many(params.immigration, rng.random(size))
-    for _ in range(depth):
-        thinned = sample_aggregate_offspring_many(params.offspring, s, rng)
-        s = thinned + sample_immigration_many(params.immigration, rng.random(size))
-    return s
+    last = None
+
+    def keep(window):
+        nonlocal last
+        last = window[-1]
+
+    simulate_batch(params, cascade_depth(params, tol) + 1,
+                   np.zeros(size, dtype=np.int64), rng, reduce=keep)
+    return last
 
 
 def step_batch(
-    params: ModelParams, x: np.ndarray, b: np.ndarray, rng: np.random.Generator
+    params: ModelParams, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One generation of independent families: offspring of ``x`` plus ``b``.
+    """One generation of independent families: the offspring of ``x``.
 
     ``simulate_batch`` calls it once per generation with the sizes of the
-    live families and ``b = 0``.
+    live families.
     """
     if x.max(initial=0) > _OVERFLOW_LIMIT:
         raise TailOverflowError("trajectory exceeded the safe integer range")
-    return sample_aggregate_offspring_many(params.offspring, x, rng) + b
+    return sample_aggregate_offspring_many(params.offspring, x, rng)
 
 
 def simulate_batch(
@@ -164,20 +165,20 @@ def simulate_batch(
     last block may be shorter).  Immigration does not depend on the
     state, so each block first draws its (T, chains) immigration from one
     ``rng.random((T, chains))`` call.  The block is then filled by
-    immigration clusters: its window holds X_0 in column 0 and B_i in
-    column i, and each nonzero entry in columns 0 .. T-1 starts a family
-    whose generation k is added into column origin + k.  One
-    ``step_batch`` call per generation draws the offspring of every live
-    family; families that die out or leave the block are dropped, so a
-    block takes as many passes as its longest surviving family, not T.
-    The next block starts from X_T as one family, which is exact in law
-    by the Markov property.
+    immigration clusters in a time-major (T+1, chains) window: row 0
+    holds X_0 and row i holds B_i, and each nonzero entry in rows
+    0 .. T-1 starts a family whose generation k is added into row
+    origin + k.  One ``step_batch`` call per generation draws the
+    offspring of every live family; families that die out or leave the
+    block are dropped, so a block takes as many passes as its longest
+    surviving family, not T.  The next block starts from X_T as one
+    family, which is exact in law by the Markov property.
 
     Without ``reduce`` returns the (chains, n+1) int64 path matrix.  With
-    it, the path is not stored: ``reduce(block)`` receives successive
-    (chains, T+1) int64 blocks whose column 0 is the previous block's
-    last state (X_0 for the first block), and None is returned.  The
-    block is a reused buffer, so a reducer that keeps it must copy it.
+    it, the path is not stored: ``reduce(window)`` receives each block's
+    (T+1, chains) int64 window, whose row 0 is the previous block's last
+    state (X_0 for the first block), and None is returned.  Each window
+    is a fresh array; a reducer may keep it but must not write into it.
     A value above 2**62 raises ``TailOverflowError`` before its block
     reaches the reducer.
     """
@@ -186,36 +187,34 @@ def simulate_batch(
     x = np.asarray(inits, dtype=np.int64)
     chains = len(x)
     steps = max(1, _REDUCE_BUDGET // max(chains, 1))
-    out = np.empty((chains, (n if reduce is None else min(steps, n)) + 1),
-                   dtype=np.int64)
-    out[:, 0] = x
+    out = np.empty((chains, n + 1), dtype=np.int64) if reduce is None else None
     for start in range(0, n, steps):
         t = min(steps, n - start)
-        col = start if reduce is None else 0
         b = sample_immigration_many(params.immigration, rng.random((t, chains)))
-        # time-major window: row i holds column i of the block.  Its
-        # nonzero entries in rows 0 .. t-1 start the families; a family's
-        # next generation lands one row (``chains`` entries) further on.
-        # ``pos`` stays sorted, so the families that can still step
-        # (pos < end) are a prefix of it.
+        # Row i of the window is time start + i.  Its nonzero entries in
+        # rows 0 .. t-1 start the families; a family's next generation
+        # lands one row (``chains`` entries) further on.  ``pos`` stays
+        # sorted, so the families that can still step (pos < end) are a
+        # prefix of it.
         window = np.concatenate([x[None], b])
         flat = window.reshape(-1)
         pos = np.flatnonzero(window[:t])
         size = flat[pos]
         end = t * chains
         while live := np.searchsorted(pos, end):
-            size = step_batch(params, size[:live], 0, rng)
+            size = step_batch(params, size[:live], rng)
             pos = pos[:live] + chains
             flat[pos] += size
             alive = np.flatnonzero(size)
             size, pos = size[alive], pos[alive]
         if window.max(initial=0) > _OVERFLOW_LIMIT:
             raise TailOverflowError("trajectory exceeded the safe integer range")
-        out[:, col: col + t + 1] = window.T
+        if reduce is None:
+            out[:, start: start + t + 1] = window.T
+        else:
+            reduce(window)
         x = window[t]
-        if reduce is not None:
-            reduce(out[:, : t + 1])
-    return out if reduce is None else None
+    return out
 
 
 def residuals(params: ModelParams, x: np.ndarray) -> np.ndarray:

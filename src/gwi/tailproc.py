@@ -209,7 +209,7 @@ def exceedance_counts(
     counts = np.zeros(reps, dtype=np.int64)
 
     def reduce(block):
-        counts[:] += (block[:, 1:] > level).sum(1)
+        counts[:] += (block[1:] > level).sum(0)
 
     simulate_batch(params, n, inits, rng, reduce=reduce)
     return counts

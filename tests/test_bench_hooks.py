@@ -2,7 +2,11 @@
 
 ``perfbench/spans.py`` wraps public functions at the names their callers
 look them up by; removing or renaming one of them breaks the traced
-benchmark rounds, so it must fail here too.
+benchmark rounds, so it must fail here too.  A changed signature breaks
+them as well (a span's work count reads an argument by position), so
+small runs of every stepping entry point must record
+``process.step_batch`` spans, and work beyond one family per span, under
+the installed tracer.
 """
 
 import os
@@ -15,18 +19,57 @@ _ROOT = Path(__file__).resolve().parents[1]
 _INSTALL = """
 import spans
 from gwi import distributions, estimator, limitlaw, process, tailproc
-spans.install(spans.Tracer(), {
+tracer = spans.Tracer()
+spans.install(tracer, {
     "distributions": distributions, "estimator": estimator,
     "limitlaw": limitlaw, "process": process, "tailproc": tailproc,
 })
 """
 
+_STEP = _INSTALL + """
+import numpy as np
+params = process.ModelParams(distributions.OffspringLaw("poisson", 0.5),
+                             distributions.ImmigrationLaw(1.5, 0.3))
+rng = np.random.default_rng(1)
+inits = np.arange(1, 6)
 
-def test_spans_install_finds_every_name():
+
+def step_spans():
+    t = tracer.table()
+    sel = t["name"] == tracer.ids["process.step_batch"]
+    return np.array([sel.sum(), t["work"][sel].sum()])
+
+
+for name, run in (
+    ("stored", lambda: process.simulate_batch(params, 20, inits, rng)),
+    ("reduced", lambda: process.simulate_batch(params, 20, inits, rng,
+                                               reduce=lambda w: None)),
+    ("stationary", lambda: process.stationary_init_many(params, 1e-6, 5, rng)),
+    ("replications", lambda: estimator.replication_experiment(params, 50, 3, 1)),
+):
+    before = step_spans()
+    run()
+    spans_added, work = step_spans() - before
+    # work is the live family count, read from ``x`` by position: a
+    # moved ``x`` would record one per span
+    assert work > spans_added > 0, (name, spans_added, work)
+"""
+
+
+def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(_ROOT / "src"), str(_ROOT / "perfbench"),
                     env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", _INSTALL], env=env,
-                            capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_spans_install_finds_every_name():
+    result = _run(_INSTALL)
+    assert result.returncode == 0, result.stderr
+
+
+def test_traced_stepping_records_work():
+    result = _run(_STEP)
     assert result.returncode == 0, result.stderr

@@ -72,6 +72,18 @@ def _per_step_loop(params, n, inits, rng):
     return out
 
 
+def _horner_init(params, tol, size, rng):
+    """The Horner loop the engine-based stationary start replaced, kept as
+    the oracle in law: S = B_(-I), then S <- thin(S) + B_(-i) for
+    i = I-1 .. 0, each lag with fresh uniforms.
+    """
+    s = sample_immigration_many(params.immigration, rng.random(size))
+    for _ in range(cascade_depth(params, tol)):
+        s = sample_aggregate_offspring_many(params.offspring, s, rng) \
+            + sample_immigration_many(params.immigration, rng.random(size))
+    return s
+
+
 class _DoublingRng:
     """Zero immigration; Poisson offspring doubling X when mu_A = 0.5."""
 
@@ -111,6 +123,33 @@ class TestStationaryInit:
         draws = stationary_init_many(ref_model, 1e-6, 10**5, rng)
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - ref_model.stationary_mean) < 3 * stderr
+
+    @pytest.mark.parametrize("tol, depth", [(1e-6, 20), (0.9, 0)])
+    def test_engine_runs_depth_plus_one_steps(self, ref_model, tol, depth):
+        # with zero offspring the chain from X_0 = 0 ends at its last
+        # immigration batch: one block of depth + 1 steps, one random call
+        fake = _RecordingRng(3)
+        draws = stationary_init_many(ref_model, tol, 7, fake)
+        assert fake.uniforms[0].shape == (depth + 1, 7)
+        assert [c[0] for c in fake.calls].count("random") == 1
+        assert np.array_equal(
+            draws, sample_immigration_many(ref_model.immigration,
+                                           fake.uniforms[0][-1]))
+
+    @pytest.mark.parametrize("family", OffspringLaw.FAMILIES)
+    def test_matches_horner_loop(self, family):
+        # 2e5 draws per side; each statistic at 4 standard errors
+        params = ModelParams(OffspringLaw(family, 0.5), ImmigrationLaw(1.5, 0.3))
+        size = 2 * 10**5
+        stats = []
+        for draw, seed in ((stationary_init_many, 1), (_horner_init, 2)):
+            x = draw(params, 1e-6, size, np.random.default_rng(seed))
+            assert x.shape == (size,) and x.dtype == np.int64
+            stats.append({"mean": x, "P(X=0)": x == 0, "P(X>20)": x > 20})
+        for name in stats[0]:
+            a, b = stats[0][name], stats[1][name]
+            se = math.sqrt(a.var(ddof=1) / size + b.var(ddof=1) / size)
+            assert abs(a.mean() - b.mean()) <= 4 * se, (name, a.mean(), b.mean())
 
 
 class TestSimulate:
@@ -156,12 +195,14 @@ class TestSimulate:
 
 
 class TestReduceMode:
-    """The reduce mode of simulate_batch hands over the stored path."""
+    """The reduce mode of simulate_batch hands over the engine's windows."""
 
     chains = 1024  # T = _REDUCE_BUDGET // chains steps per block
 
     @pytest.mark.parametrize("n_blocks", [2, 2.5, 0.5])
     def test_blocks_concatenate_to_path(self, ref_model, n_blocks):
+        # windows are (T+1, chains), row 0 the previous block's last row;
+        # kept without a copy, they still join to the stored path
         steps = _REDUCE_BUDGET // self.chains
         n = int(n_blocks * steps)
         rng = np.random.default_rng(31)
@@ -171,16 +212,16 @@ class TestReduceMode:
         rng.bit_generator.state = state
         blocks = []
         assert simulate_batch(ref_model, n, inits, rng,
-                              reduce=lambda b: blocks.append(b.copy())) is None
+                              reduce=blocks.append) is None
         assert len(blocks) == math.ceil(n_blocks)
-        assert all(b.dtype == np.int64 and len(b) == self.chains
+        assert all(b.dtype == np.int64 and b.shape[1] == self.chains
                    for b in blocks)
-        assert all(b.shape[1] == steps + 1 for b in blocks[:-1])
+        assert all(len(b) == steps + 1 for b in blocks[:-1])
+        assert np.array_equal(blocks[0][0], inits)
         for prev, cur in zip(blocks, blocks[1:]):
-            assert np.array_equal(cur[:, 0], prev[:, -1])
-        joined = np.concatenate([blocks[0][:, :1]] + [b[:, 1:] for b in blocks],
-                                axis=1)
-        assert np.array_equal(joined, path)
+            assert np.array_equal(cur[0], prev[-1])
+        joined = np.concatenate([blocks[0][:1]] + [b[1:] for b in blocks])
+        assert np.array_equal(joined.T, path)
 
     @pytest.mark.parametrize("reduce", [None, lambda block: None])
     def test_overflow_guard(self, ref_model, rng, reduce):
@@ -206,18 +247,29 @@ class TestReduceMode:
                             for u in fake.uniforms])
         assert np.array_equal(path[:, 1:], b.T)
         assert np.array_equal(path[:, 0], np.arange(chains))
-        want = []
+        want, want_reduced = [], []
         for s, t in zip(starts, sizes):
-            want.append(("random", (t, chains)))
+            block = [("random", (t, chains))]
             families = np.count_nonzero(path[:, s: s + t])
             if families:
-                want.append(("poisson", (families,)))
+                block.append(("poisson", (families,)))
+            want += block
+            want_reduced += block + [("reduce", (t + 1, chains))]
         assert fake.calls == want
 
+        # reduce mode: the same draws, each window handed over after its
+        # block's last offspring call and before the next block's draws
         again = _RecordingRng(5)
-        simulate_batch(ref_model, n, np.arange(chains), again,
-                       reduce=lambda block: None)
-        assert again.calls == fake.calls
+        windows = []
+
+        def reduce(window):
+            again.calls.append(("reduce", window.shape))
+            windows.append(window)
+
+        simulate_batch(ref_model, n, np.arange(chains), again, reduce=reduce)
+        assert again.calls == want_reduced
+        assert np.array_equal(np.concatenate([w[1:] for w in windows]), b)
+        assert np.array_equal(windows[0][0], np.arange(chains))
 
     @pytest.mark.parametrize("reduced", [False, True])
     def test_overflow_guard_mid_block(self, ref_model, reduced):
