@@ -29,7 +29,7 @@ print(f"stationary mean = {params.stationary_mean:.6f}")
 
 rng = np.random.default_rng(7)
 n = 100_000
-init = stationary_init_many(params, 1e-6, 1, rng)[0]
+init = stationary_init_many(params, 1, rng)[0]
 x = simulate(params, n, init, rng)
 
 print(f"\nsimulated {n} steps from stationary start X_0 = {init}")

@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import platform
 import time
 from pathlib import Path
@@ -25,7 +24,7 @@ from scipy import stats as sp_stats
 from . import distributions as dist
 from . import estimator, limitlaw, process, tailproc
 
-# Rows of trajectory.csv formatted per write.
+# CSV rows formatted per %-operation.
 _CSV_CHUNK = 2**16
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
@@ -41,7 +40,6 @@ _DEFAULTS = {
     "reps": 100,
     "eps": 0.01,
     "seed": 0,
-    "tol": 1e-6,
     "compensate": False,
     "quantile": 0.999,
     "chains": 100,
@@ -58,7 +56,7 @@ _DEFAULTS = {
 # value of each int key.
 _OPEN_RANGES = {
     "alpha": (1.0, 2.0), "mu_A": (0.0, 1.0), "c": (0.0, 1.0),
-    "eps": (0.0, math.inf), "tol": (0.0, 1.0), "quantile": (0.0, 1.0),
+    "eps": (0.0, math.inf), "quantile": (0.0, 1.0),
     "x": (1.0, math.inf), "beta": (-math.inf, math.inf),
     "x_min": (-math.inf, math.inf), "x_max": (-math.inf, math.inf),
 }
@@ -89,11 +87,6 @@ def parse_config(path: str | None) -> dict:
     is bernoulli, poisson or geometric; ``s_values`` and ``t_values``
     are non-empty lists of comma-separated finite floats, and
     ``laplace-validate`` rejects a negative ``s_values`` entry.
-
-    ``tol`` is the truncation tolerance of the stationary start (the mean
-    remainder of its backward series).  It does not set the accuracy of
-    ``cdf-table`` or ``cf-table``: their values are certified to the
-    ``health.tol`` recorded in their manifest.
     """
     cfg = dict(_DEFAULTS)
     if path:
@@ -134,42 +127,35 @@ def parse_config(path: str | None) -> dict:
     return cfg
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+def _write_rows(fh, columns) -> None:
+    """Write the rows of equal-length numpy ``columns`` to ``fh``.
+
+    One template serves every row: %d for int and bool columns, %.17g
+    (which round-trips) for float columns.  It is filled one chunk of
+    ``_CSV_CHUNK`` rows at a time.
+    """
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%d"
+                   for c in columns) + "\n"
+    for lo in range(0, len(columns[0]), _CSV_CHUNK):
+        cells = np.stack([c[lo: lo + _CSV_CHUNK].astype(object)
+                          for c in columns], axis=1)
+        fh.write(row * len(cells) % tuple(cells.ravel()))
 
 
-def write_csv(path: Path, header: list[str] | tuple[str, ...], rows) -> Path:
+def write_csv(path: Path, header: list[str] | tuple[str, ...],
+              columns: list[np.ndarray]) -> Path:
+    """A CSV file with the given header row and numpy columns."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, columns)
     return path
 
 
 def _write_trajectory(path: Path, x: np.ndarray, m: np.ndarray) -> Path:
-    """trajectory.csv: the row ``i,X_i,M_i`` for each i, M_0 left empty.
-
-    The bytes are those of one ``_fmt`` call per cell.  A path has few
-    distinct residuals, so each distinct value (by bit pattern) is
-    formatted once, and each chunk of rows is joined by one %-operation
-    (%d gives ``_fmt``'s integer text).
-    """
-    _, first, which = np.unique(m.view(np.int64), return_index=True,
-                                return_inverse=True)
-    m_text = np.array([_fmt(v) for v in m[first]], dtype=object)[which]
+    """trajectory.csv: the row ``i,X_i,M_i`` for each i, M_0 left empty."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"i,x,m\n0,{x[0]},\n")
-        for lo in range(0, len(m), _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, len(m))
-            rows = np.empty((hi - lo, 3), dtype=object)
-            rows[:, 0] = range(lo + 1, hi + 1)
-            rows[:, 1] = x[lo + 1: hi + 1].tolist()
-            rows[:, 2] = m_text[lo:hi]
-            fh.write(("%d,%d,%s\n" * len(rows)) % tuple(rows.ravel()))
+        _write_rows(fh, [np.arange(1, len(x)), x[1:], m])
     return path
 
 
@@ -199,7 +185,7 @@ def _simulate(cfg, out_dir, workers):
     params = _model(cfg)
     seed = cfg["seed"]
     rng = np.random.default_rng([seed, 0])
-    init = process.stationary_init_many(params, cfg["tol"], 1, rng)[0]
+    init = process.stationary_init_many(params, 1, rng)[0]
     x = process.simulate(params, cfg["n"], init, rng)
     m = process.residuals(params, x)
     path = _write_trajectory(out_dir / "trajectory.csv", x, m)
@@ -207,7 +193,7 @@ def _simulate(cfg, out_dir, workers):
         "alpha": cfg["alpha"], "mu_A": cfg["mu_A"], "c": cfg["c"],
         "offspring": cfg["offspring"], "mu_B": params.mu_B,
         "n": cfg["n"], "seed": seed, "init": int(init),
-        "init_mode": "stationary-series", "tol": cfg["tol"],
+        "init_mode": "stationary-series",
     })
     return [path, meta], [seed], {"init": int(init)}, None
 
@@ -215,10 +201,9 @@ def _simulate(cfg, out_dir, workers):
 def _estimate(cfg, out_dir, workers):
     """CLS replications of the scaled estimation error (replications.csv)."""
     table = estimator.replication_experiment(
-        _model(cfg), cfg["n"], cfg["reps"], cfg["seed"], init_tol=cfg["tol"],
-        workers=workers)
+        _model(cfg), cfg["n"], cfg["reps"], cfg["seed"], workers=workers)
     path = write_csv(out_dir / "replications.csv", table.dtype.names,
-                     table.tolist())
+                     [table[k] for k in table.dtype.names])
     frac = float(np.mean(table["defined"]))
     return ([path], estimator.replication_seeds(cfg["reps"], cfg["seed"]),
             {"defined_fraction": frac}, {"defined_fraction": frac})
@@ -231,7 +216,7 @@ def _limit_sample(cfg, out_dir, workers):
     table = limitlaw.sample_limit_pairs(
         p, cfg["eps"], cfg["reps"], rng, compensate=cfg["compensate"])
     path = write_csv(out_dir / "limit_samples.csv", table.dtype.names,
-                     table.tolist())
+                     [table[k] for k in table.dtype.names])
     mean_terms = float(np.mean(table["terms_used"]))
     v1_mean, v2_sd = limitlaw.truncation_bounds(p, cfg["eps"])
     health = {"eps": cfg["eps"], "compensate": cfg["compensate"],
@@ -245,11 +230,10 @@ def _cdf_table(cfg, out_dir, workers):
     """CDF of V2/V1 on a grid, by CF inversion (cdf.csv)."""
     p = _limit_params(cfg)
     grid = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_points"])
-    vals = [limitlaw.cdf_ratio(p, float(x)) for x in grid]
-    path = write_csv(out_dir / "cdf.csv", ["x", "cdf"], zip(grid, vals))
-    summary = {"cdf_at_zero": vals[len(grid) // 2] if len(grid) % 2 else None}
+    vals = np.array([limitlaw.cdf_ratio(p, float(x)) for x in grid])
+    path = write_csv(out_dir / "cdf.csv", ["x", "cdf"], [grid, vals])
     health = {"tol": limitlaw.CDF_TOL, **limitlaw.cf_rule_health(p)}
-    return [path], [], summary, health
+    return [path], [], {}, health
 
 
 def _cf_table(cfg, out_dir, workers):
@@ -258,17 +242,21 @@ def _cf_table(cfg, out_dir, workers):
     s, t = np.meshgrid(_floats(cfg["s_values"]), _floats(cfg["t_values"]),
                        indexing="ij")
     phi = limitlaw.cf_joint(p, s, t)
-    rows = zip(s.ravel(), t.ravel(), phi.real.ravel(), phi.imag.ravel())
-    path = write_csv(out_dir / "cf.csv", ["s", "t", "re", "im"], rows)
+    path = write_csv(out_dir / "cf.csv", ["s", "t", "re", "im"],
+                     [s.ravel(), t.ravel(), phi.real.ravel(), phi.imag.ravel()])
     health = {"tol": limitlaw.CF_RULE_TOL, **limitlaw.cf_rule_health(p)}
     return [path], [], {}, health
 
 
 def _tail_validate(cfg, out_dir, workers):
     """Conditional laws after an exceedance vs the tail process."""
+    if cfg["n"] < cfg["chains"]:
+        raise click.UsageError(
+            f"config key 'n' must be at least 'chains' ({cfg['chains']}) "
+            f"for tail-validate, got {cfg['n']}")
     params = _model(cfg)
     paths = tailproc.run_stationary_batch(
-        params, cfg["n"], cfg["chains"], [cfg["seed"], 0], init_tol=cfg["tol"])
+        params, cfg["n"], cfg["chains"], [cfg["seed"], 0])
     report = tailproc.validate_pseudo_tail(
         params, paths, quantile=cfg["quantile"])
     path = _write_json(out_dir / "tail_report.json", {
@@ -289,7 +277,7 @@ def _laplace_validate(cfg, out_dir, workers):
     a_n = process.scaling(params, cfg["n"])
     report = tailproc.laplace_functional_gap(
         params, cfg["eps"], s_values, cfg["n"], a_n,
-        cfg["reps"], [cfg["seed"], 0], init_tol=cfg["tol"])
+        cfg["reps"], [cfg["seed"], 0])
     path = _write_json(out_dir / "laplace_report.json", {
         "statistic": "exceedance Laplace functional",
         "eps": cfg["eps"], "n": cfg["n"], "a_n": a_n,
@@ -376,15 +364,6 @@ def main():
     """Simulation and inference toolkit for heavy-tailed branching processes."""
 
 
-def _env_workers() -> int:
-    """Worker count from ``GWI_WORKERS`` (default 1); a positive int."""
-    raw = os.environ.get("GWI_WORKERS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise click.UsageError(
-            f"GWI_WORKERS must be a positive int, got {raw!r}")
-    return int(raw)
-
-
 def _make_command(name):
     @main.command(name=name, help=EXPERIMENTS[name].__doc__)
     @click.option("--config", "config_path", type=click.Path(exists=True),
@@ -393,14 +372,12 @@ def _make_command(name):
                   help="master seed (overrides config)")
     @click.option("--out", "out_dir", type=click.Path(), default="out",
                   help="output directory")
-    @click.option("--workers", type=click.IntRange(min=1), default=None,
-                  help="worker processes (default: GWI_WORKERS or 1)")
+    @click.option("--workers", type=click.IntRange(min=1), default=1,
+                  help="worker processes (default 1)")
     def command(config_path, seed, out_dir, workers):
         cfg = parse_config(config_path)
         if seed is not None:
             cfg["seed"] = seed
-        if workers is None:
-            workers = _env_workers()
         summary = run(cfg, name, Path(out_dir), workers=workers)
         click.echo(json.dumps(summary, indent=2, sort_keys=True))
 

@@ -13,8 +13,9 @@ partial sums (V_n^1, V_n^2) = (a_n^-2 sum X_j^2, a_n^-3/2 sum X_j M_{j+1})
 are the two coordinates.
 
 One reducer, ``_cls_reducer``, forms these sums in time order over
-time-major (T+1, chains) blocks.  The replication farm hands it the
-windows of ``simulate_batch`` as they are; ``cls_estimate`` feeds it
+time-major (T+1, chains) blocks.  The replication farm starts its
+chains from ``stationary_init_many`` and hands the reducer the windows
+of ``simulate_batch`` as they are; ``cls_estimate`` feeds it
 the transpose of a given path or bundle of paths in one call.  Both
 return rows of ``REPLICATION_FIELDS``.
 """
@@ -150,14 +151,14 @@ def cls_estimate(params: ModelParams, x) -> np.ndarray:
 def _run_block(args):
     """Simulate one block of replications as a vectorised chain bundle,
     reducing the path block by block into the CLS rows."""
-    (params, n, key, width, init_tol) = args
+    params, n, key, width = args
     rng = np.random.default_rng(key)
-    x = stationary_init_many(params, init_tol, width, rng)
+    x = stationary_init_many(params, width, rng)
     sums, reduce = _cls_reducer(params, width)
     simulate_batch(params, n, x, rng, reduce=reduce)
     out = _rows(params, n, sums)
     out["rep"] += key[1] * _BLOCK
-    return key[1], out
+    return out
 
 
 def replication_experiment(
@@ -165,7 +166,6 @@ def replication_experiment(
     n: int,
     reps: int,
     seed: int,
-    init_tol: float = 1e-6,
     workers: int = 1,
 ) -> np.ndarray:
     """Replicated CLS runs on stationary paths.
@@ -173,16 +173,14 @@ def replication_experiment(
     Returns a structured array with one row per replication holding the
     estimate, the normalised partial sums over the shifted window, and
     the scaled error sqrt(a_n)*(mu_hat - mu_A).  Deterministic in
-    (params, n, reps, seed) and invariant to ``workers``.
+    (params, n, reps, seed) and invariant to ``workers``: each block
+    draws from its own stream, and ``map`` returns the blocks in order.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
-    blocks = [(params, n, key, min(_BLOCK, reps - key[1] * _BLOCK), init_tol)
+    blocks = [(params, n, key, min(_BLOCK, reps - key[1] * _BLOCK))
               for key in replication_seeds(reps, seed)]
     if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_block, blocks))
-    else:
-        results = [_run_block(args) for args in blocks]
-    results.sort(key=lambda t: t[0])
-    return np.concatenate([r for _, r in results])
+            return np.concatenate(list(pool.map(_run_block, blocks)))
+    return np.concatenate(list(map(_run_block, blocks)))

@@ -22,8 +22,10 @@ contributing the size of its generation t - i (the branching property).
 A block of steps is filled one generation at a time, and
 ``step_batch`` is the per-generation kernel: the overflow guard plus
 the aggregate offspring of every live family.  The stationary start
-``stationary_init_many`` is the same engine run from X_0 = 0, so there
-is no second stepping loop.
+``stationary_init_many`` is the same engine run from X_0 = 0 for
+``cascade_depth + 1`` steps, the backward series truncated where its
+mean remainder falls below the fixed ``_INIT_TOL``, so there is no
+second stepping loop.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ __all__ = [
 
 # Abort a replication before int64 products can wrap around.
 _OVERFLOW_LIMIT = 2**62
+
+# Mean remainder of the stationary start's backward series: depth 20 at
+# the reference point.
+_INIT_TOL = 1e-6
 
 # Chain-steps per ``simulate_batch`` block: each block's immigration is
 # drawn at once, its families run until they die out or leave it, and in
@@ -103,20 +109,20 @@ class ModelParams:
         return self.mu_B / (1.0 - self.mu_A)
 
 
-def cascade_depth(params: ModelParams, tol: float) -> int:
-    """Smallest I with mean series remainder mu_B*mu_A^(I+1)/(1-mu_A) < tol."""
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
+def cascade_depth(params: ModelParams) -> int:
+    """Smallest I with mean series remainder mu_B*mu_A^(I+1)/(1-mu_A) below
+    ``_INIT_TOL``.
+    """
     depth = 0
     rem = params.mu_B * params.mu_A / (1.0 - params.mu_A)
-    while rem >= tol:
+    while rem >= _INIT_TOL:
         depth += 1
         rem *= params.mu_A
     return depth
 
 
 def stationary_init_many(
-    params: ModelParams, tol: float, size: int, rng: np.random.Generator
+    params: ModelParams, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Approximate stationary draws via the truncated backward series.
 
@@ -125,8 +131,8 @@ def stationary_init_many(
     Truncated at the lags 0..I, the sum is the chain run from X_0 = 0 for
     I + 1 steps: X_1 = B_{-I}, then X <- thin(X) + B_{-i} for
     i = I-1 .. 0.  So the draws are the last states of ``size`` chains of
-    ``simulate_batch``.  I is the smallest depth whose mean remainder is
-    below ``tol``.
+    ``simulate_batch``.  I is ``cascade_depth(params)``, the smallest
+    depth whose mean remainder is below ``_INIT_TOL``.
     """
     last = None
 
@@ -134,7 +140,7 @@ def stationary_init_many(
         nonlocal last
         last = window[-1]
 
-    simulate_batch(params, cascade_depth(params, tol) + 1,
+    simulate_batch(params, cascade_depth(params) + 1,
                    np.zeros(size, dtype=np.int64), rng, reduce=keep)
     return last
 

@@ -7,9 +7,11 @@ Y_i = mu_A^i * 1{K >= -i} * Y_0 for i < 0, with Y_0 Pareto(alpha) on
 The validators here tie long simulations to that limit: the conditional
 law of the scaled residual W'_0 = M_1/sqrt(X_0) approaches
 N(0, sigma_A2), and the point process of exceedances has a closed-form
-Laplace functional.  The forward tail process of the pair
-(X^{3/2}, X*M) has tail index 2*alpha/3; its front pair is sampled
-exactly by ``sample_forward_front_many``.
+Laplace functional.  Their chains start from
+``process.stationary_init_many``, the backward series truncated at the
+fixed mean remainder ``process._INIT_TOL``.  The forward tail process of
+the pair (X^{3/2}, X*M) has tail index 2*alpha/3; its front pair is
+sampled exactly by ``sample_forward_front_many``.
 """
 
 from __future__ import annotations
@@ -129,7 +131,6 @@ def run_stationary_batch(
     total_steps: int,
     chains: int,
     seed,
-    init_tol: float = 1e-6,
 ) -> np.ndarray:
     """Stationary-start path bundle with ``total_steps`` transitions overall.
 
@@ -139,7 +140,7 @@ def run_stationary_batch(
     """
     rng = np.random.default_rng(seed)
     n = total_steps // chains
-    inits = stationary_init_many(params, init_tol, chains, rng)
+    inits = stationary_init_many(params, chains, rng)
     return simulate_batch(params, n, inits, rng)
 
 
@@ -201,11 +202,10 @@ def exceedance_counts(
     reps: int,
     level: float,
     seed,
-    init_tol: float = 1e-6,
 ) -> np.ndarray:
     """#{1 <= j <= n : X_j > level} for ``reps`` stationary chains."""
     rng = np.random.default_rng(seed)
-    inits = stationary_init_many(params, init_tol, reps, rng)
+    inits = stationary_init_many(params, reps, rng)
     counts = np.zeros(reps, dtype=np.int64)
 
     def reduce(block):
@@ -240,24 +240,29 @@ def laplace_functional_gap(
     a_n: float,
     reps: int,
     seed,
-    init_tol: float = 1e-6,
 ) -> dict:
     """Empirical vs analytic -log E[exp(-N_n(f))] for f = s*1{x > eps}.
 
     ``s`` may be a scalar or a sequence; the exceedance counts are
-    simulated once, from stationary starts truncated at ``init_tol``, and
-    reused.  Returns per-s empirical value, analytic value, absolute gap,
-    and a delta-method standard error of the empirical side.  A negative
-    ``s`` raises ``ValueError`` before any chain is simulated.
+    simulated once, from stationary starts, and reused.  Returns per-s
+    empirical value, analytic value, absolute gap, and a delta-method
+    standard error of the empirical side.  A negative ``s`` raises
+    ``ValueError`` before any chain is simulated.
+
+    The weights exp(-s*k) are shifted by the least count k0, so that
+    they do not all underflow to 0 when every chain has many
+    exceedances: -log E[exp(-s*k)] = s*k0 - log E[exp(-s*(k - k0))].
     """
     s_values = [float(sv) for sv in np.atleast_1d(np.asarray(s, np.float64))]
     analytic = [laplace_analytic(params, eps, sv) for sv in s_values]
-    counts = exceedance_counts(params, n, reps, a_n * eps, seed, init_tol)
+    counts = exceedance_counts(params, n, reps, a_n * eps, seed)
+    k0 = int(counts.min())
     out = {}
     for sv, ana in zip(s_values, analytic):
-        w = np.exp(-sv * counts)
+        w = np.exp(-sv * (counts - k0))
         mean = float(w.mean())
-        emp = -math.log(mean)
+        # negated difference: exactly -log(mean), sign of zero too, at k0 = 0
+        emp = -(math.log(mean) - sv * k0)
         stderr = float(w.std(ddof=1)) / math.sqrt(len(w)) / mean
         out[sv] = {
             "empirical": emp,

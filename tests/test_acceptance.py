@@ -182,7 +182,7 @@ def test_acceptance_07_scaling_sequence(ref_model):
                     / target - 1.0)
                 for n in (10**2, 10**3, 10**4, 10**5, 10**6))
     rng = np.random.default_rng([MASTER_SEED, 4])
-    draws = stationary_init_many(ref_model, 1e-6, _DRAWS_07, rng)
+    draws = stationary_init_many(ref_model, _DRAWS_07, rng)
     n = 10**4
     # the (1 - 1/n) quantile of 400*n stationary draws: n*P(X_0 > a_n) = 1
     emp = float(np.quantile(draws, 1.0 - 1.0 / n, method="inverted_cdf"))

@@ -44,7 +44,7 @@ for name, run in (
     ("stored", lambda: process.simulate_batch(params, 20, inits, rng)),
     ("reduced", lambda: process.simulate_batch(params, 20, inits, rng,
                                                reduce=lambda w: None)),
-    ("stationary", lambda: process.stationary_init_many(params, 1e-6, 5, rng)),
+    ("stationary", lambda: process.stationary_init_many(params, 5, rng)),
     ("replications", lambda: estimator.replication_experiment(params, 50, 3, 1)),
 ):
     before = step_spans()

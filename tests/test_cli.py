@@ -10,13 +10,13 @@ from click.testing import CliRunner
 from gwi import limitlaw, process, tailproc
 from gwi.cli import (
     EXPERIMENTS,
-    _fmt,
     _write_trajectory,
     main,
     parse_config,
     run,
     write_csv,
 )
+from gwi.estimator import REPLICATION_FIELDS
 from gwi.limitlaw import LimitParams, truncation_bounds
 
 
@@ -51,10 +51,10 @@ class TestConfig:
             parse_config(str(p))
 
     def test_unknown_key_rejected(self, tmp_path):
-        # 'm' was a default that nothing read
-        for key in ("mua", "m"):
+        # 'm' was a default that nothing read; 'tol' had one value in use
+        for key, value in (("mua", "0.9"), ("m", "0.9"), ("tol", "1e-6")):
             p = tmp_path / "typo.cfg"
-            p.write_text(f"{key} = 0.9\n")
+            p.write_text(f"{key} = {value}\n")
             with pytest.raises(click.UsageError, match=repr(key)):
                 parse_config(str(p))
 
@@ -73,7 +73,7 @@ class TestConfig:
     @pytest.mark.parametrize("key,value", [
         ("alpha", "1"), ("alpha", "2"), ("alpha", "nan"), ("mu_A", "0"),
         ("mu_A", "1"), ("c", "0"), ("c", "1.5"), ("eps", "0"),
-        ("eps", "-0.01"), ("tol", "0"), ("tol", "1"), ("quantile", "0"),
+        ("eps", "-0.01"), ("quantile", "0"),
         ("quantile", "1"), ("n", "0"), ("reps", "0"), ("x_points", "0"),
         ("chains", "-3"), ("offspring", "poison"), ("s_values", "0.5,abc"),
         ("t_values", "0.5,abc"), ("x", "-5"), ("x", "0"), ("beta", "inf"),
@@ -96,17 +96,13 @@ class TestConfig:
         assert "'offspring'" in result.output
         assert not (tmp_path / "sim").exists()
 
-    @pytest.mark.parametrize("args,env", [
-        (["--workers", "-2"], {}), (["--workers", "0"], {}),
-        ([], {"GWI_WORKERS": "abc"}), ([], {"GWI_WORKERS": "0"}),
-        ([], {"GWI_WORKERS": "-1"}),
-    ])
-    def test_bad_workers_rejected(self, runner, tmp_path, args, env):
+    @pytest.mark.parametrize("workers", ["-2", "0"])
+    def test_bad_workers_rejected(self, runner, tmp_path, workers):
         out = tmp_path / "est"
-        result = runner.invoke(main, ["estimate", "--out", str(out), *args],
-                               env=env)
+        result = runner.invoke(main, ["estimate", "--out", str(out),
+                                      "--workers", workers])
         assert result.exit_code == 2
-        assert ("--workers" if args else "GWI_WORKERS") in result.output
+        assert "--workers" in result.output
         assert not out.exists()
 
     def test_range_edges_accepted(self, tmp_path):
@@ -138,7 +134,8 @@ class TestConfig:
 
     def test_write_csv_format(self, tmp_path):
         p = tmp_path / "t.csv"
-        assert write_csv(p, ["a", "b"], [(1, 0.5), (2, 1 / 3)]) == p
+        assert write_csv(p, ["a", "b"],
+                         [np.array([1, 2]), np.array([0.5, 1 / 3])]) == p
         lines = p.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[1] == "1,0.5"
@@ -184,19 +181,25 @@ class TestRegistry:
             run(parse_config(None), "estimat", tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
-    def test_laplace_honours_tol(self, runner, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "name", [name for name in _TINY if name != "tail-validate"])
+    def test_default_config_runs(self, runner, tmp_path, name):
+        # tail-validate's defaults (n = 1000) leave too few events
+        _run(runner, name, "--out", str(tmp_path / "out"))
+
+    def test_tail_validate_needs_a_step_per_chain(self, runner, tmp_path,
+                                                  monkeypatch):
         seen = []
-
-        def spy(params, tol, size, rng):
-            seen.append(tol)
-            return process.stationary_init_many(params, tol, size, rng)
-
-        monkeypatch.setattr(tailproc, "stationary_init_many", spy)
-        cfg = tmp_path / "lap.cfg"
-        cfg.write_text(_TINY["laplace-validate"] + "tol = 1e-3\n")
-        _run(runner, "laplace-validate", "--config", str(cfg),
-             "--out", str(tmp_path / "lap"))
-        assert seen == [1e-3]
+        monkeypatch.setattr(tailproc, "stationary_init_many",
+                            lambda *args: seen.append(args))
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text("n = 99\nchains = 100\n")
+        out = tmp_path / "tail"
+        result = runner.invoke(main, ["tail-validate", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "'n'" in result.output and "'chains'" in result.output
+        assert seen == [] and not out.exists()
 
     def test_laplace_rejects_negative_s(self, runner, tmp_path, monkeypatch):
         # the functional is defined for f = s*1{x > eps} >= 0 only
@@ -226,6 +229,24 @@ class TestRegistry:
         assert result.exit_code == 2 and out.is_dir()
 
 
+def _fmt(v) -> str:
+    """One cell as the per-row writers formatted it."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def _per_row_csv(path, header, rows):
+    """The row-tuple writer the column-wise ``write_csv`` replaced: one
+    formatted write per row, kept as the byte oracle."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def _per_row_trajectory(path, x, m):
     """The trajectory.csv writer ``_write_trajectory`` replaced: one
     formatted write per row, kept as the byte oracle."""
@@ -236,6 +257,48 @@ def _per_row_trajectory(path, x, m):
             fh.write(f"{i},{x[i]},{_fmt(m[i - 1])}\n")
 
 
+# Signed zeros, non-finite values, subnormals and values that need all
+# 17 digits.
+_EDGE_FLOATS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                         -2.5e-310, 2.2250738585072014e-308, 1 / 3, 0.1,
+                         -1e300, 2.0**53 + 2, 1e16, 123456789.0])
+
+
+def _table(kind, rng):
+    """(header, rows, columns) of one CSV kind the harness writes, with
+    the edge floats in every float column."""
+    edge = np.resize(_EDGE_FLOATS, 40)
+    if kind in ("replications", "limit_samples"):
+        if kind == "replications":
+            table = np.zeros(40, dtype=REPLICATION_FIELDS)
+            table["rep"] = np.arange(40)
+            table["n"] = 2**62 - np.arange(40)
+            table["defined"] = np.arange(40) % 3 > 0
+        else:
+            table = limitlaw.sample_limit_pairs(
+                LimitParams(1.5, 0.5, 0.5), 0.05, 40, rng)
+        for name in table.dtype.names:
+            if table.dtype[name].kind == "f":
+                table[name] = rng.permutation(edge)
+        return (table.dtype.names, table.tolist(),
+                [table[k] for k in table.dtype.names])
+    width = {"cdf": 2, "cf": 4}[kind]
+    columns = [rng.permutation(edge) for _ in range(width)]
+    header = ["x", "cdf"] if kind == "cdf" else ["s", "t", "re", "im"]
+    return header, zip(*columns), columns
+
+
+class TestWriters:
+    @pytest.mark.parametrize("kind",
+                             ["replications", "limit_samples", "cdf", "cf"])
+    def test_csv_matches_per_row_writer(self, tmp_path, kind):
+        header, rows, columns = _table(kind, np.random.default_rng(4))
+        write_csv(tmp_path / "new.csv", header, columns)
+        _per_row_csv(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
+
 class TestSimulate:
     def test_trajectory_matches_per_row_writer(self, ref_model, tmp_path):
         rng = np.random.default_rng(8)
@@ -244,8 +307,7 @@ class TestSimulate:
         for x in (sim, wide, sim[:2]):
             for m in (process.residuals(ref_model, x),
                       rng.standard_normal(len(x) - 1) * 1e10,
-                      np.resize([0.0, -0.0, 0.5, np.nan, -np.inf],
-                                len(x) - 1)):
+                      np.resize(_EDGE_FLOATS, len(x) - 1)):
                 _write_trajectory(tmp_path / "new.csv", x, m)
                 _per_row_trajectory(tmp_path / "old.csv", x, m)
                 assert (tmp_path / "new.csv").read_bytes() == \
@@ -258,6 +320,12 @@ class TestSimulate:
         m = process.residuals(ref_model, x)
         _write_trajectory(tmp_path / "new.csv", x, m)
         _per_row_trajectory(tmp_path / "old.csv", x, m)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+        header, rows, columns = _table("replications",
+                                       np.random.default_rng(9))
+        write_csv(tmp_path / "new.csv", header, columns)
+        _per_row_csv(tmp_path / "old.csv", header, rows)
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "old.csv").read_bytes()
 

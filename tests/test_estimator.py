@@ -173,12 +173,12 @@ class TestReplicationExperiment:
 
     def test_rows_match_reference(self, ref_model):
         # 300 reps: block 0 holds 250 chains, block 1 the other 50
-        n, reps, seed, tol = 2000, 300, 12, 1e-6
-        tab = replication_experiment(ref_model, n, reps, seed, init_tol=tol)
+        n, reps, seed = 2000, 300, 12
+        tab = replication_experiment(ref_model, n, reps, seed)
         paths = []
         for b, width in ((0, 250), (1, 50)):
             rng = np.random.default_rng([seed, b])
-            inits = stationary_init_many(ref_model, tol, width, rng)
+            inits = stationary_init_many(ref_model, width, rng)
             paths.extend(simulate_batch(ref_model, n, inits, rng))
         assert np.array_equal(tab, cls_estimate(ref_model, np.array(paths)))
         ref = np.array([_oracle(ref_model, x) for x in paths])

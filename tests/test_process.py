@@ -24,6 +24,11 @@ from gwi.process import (
 MU_B = 0.783712604605646503  # c*zeta(alpha) oracle at (1.5, 0.3)
 
 
+def _model(mu_A):
+    """Poisson offspring of mean mu_A, immigration at (1.5, 0.3)."""
+    return ModelParams(OffspringLaw("poisson", mu_A), ImmigrationLaw(1.5, 0.3))
+
+
 class _ZeroImmigrationRng:
     """Uniform stream pinned below 1-c: every immigration draw is zero.
 
@@ -72,13 +77,13 @@ def _per_step_loop(params, n, inits, rng):
     return out
 
 
-def _horner_init(params, tol, size, rng):
+def _horner_init(params, size, rng):
     """The Horner loop the engine-based stationary start replaced, kept as
     the oracle in law: S = B_(-I), then S <- thin(S) + B_(-i) for
     i = I-1 .. 0, each lag with fresh uniforms.
     """
     s = sample_immigration_many(params.immigration, rng.random(size))
-    for _ in range(cascade_depth(params, tol)):
+    for _ in range(cascade_depth(params)):
         s = sample_aggregate_offspring_many(params.offspring, s, rng) \
             + sample_immigration_many(params.immigration, rng.random(size))
     return s
@@ -109,30 +114,27 @@ class TestModelParams:
 class TestStationaryInit:
     def test_depth_oracle(self, ref_model):
         # smallest I with mu_B * 0.5^{I+1} / 0.5 < 1e-6, mu_B = 0.7837...
-        assert cascade_depth(ref_model, 1e-6) == 20
+        assert cascade_depth(ref_model) == 20
 
-    def test_depth_zero_for_loose_tol(self, ref_model):
-        assert cascade_depth(ref_model, 0.9) == 0
-
-    def test_depth_tol_validation(self, ref_model):
-        for tol in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError):
-                cascade_depth(ref_model, tol)
+    def test_depth_zero_for_small_mu_A(self):
+        # mu_B * mu_A / (1 - mu_A) = 7.8e-8 is already below 1e-6
+        assert cascade_depth(_model(1e-7)) == 0
 
     def test_mean_matches_stationary_mean(self, ref_model, rng):
-        draws = stationary_init_many(ref_model, 1e-6, 10**5, rng)
+        draws = stationary_init_many(ref_model, 10**5, rng)
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - ref_model.stationary_mean) < 3 * stderr
 
-    @pytest.mark.parametrize("tol, depth", [(1e-6, 20), (0.9, 0)])
-    def test_engine_runs_depth_plus_one_steps(self, ref_model, tol, depth):
+    @pytest.mark.parametrize("mu_A, depth", [(0.5, 20), (1e-7, 0)])
+    def test_engine_runs_depth_plus_one_steps(self, mu_A, depth):
         # with zero offspring the chain from X_0 = 0 ends at its last
         # immigration batch: one block of depth + 1 steps, one random call
+        params = _model(mu_A)
         fake = _RecordingRng(3)
-        draws = stationary_init_many(ref_model, tol, 7, fake)
+        draws = stationary_init_many(params, 7, fake)
         assert [u.shape for u in fake.uniforms] == [(depth + 1, 7)]
         assert np.array_equal(
-            draws, sample_immigration_many(ref_model.immigration,
+            draws, sample_immigration_many(params.immigration,
                                            fake.uniforms[0][-1]))
 
     @pytest.mark.parametrize("family", OffspringLaw.FAMILIES)
@@ -142,7 +144,7 @@ class TestStationaryInit:
         size = 2 * 10**5
         stats = []
         for draw, seed in ((stationary_init_many, 1), (_horner_init, 2)):
-            x = draw(params, 1e-6, size, np.random.default_rng(seed))
+            x = draw(params, size, np.random.default_rng(seed))
             assert x.shape == (size,) and x.dtype == np.int64
             stats.append({"mean": x, "P(X=0)": x == 0, "P(X>20)": x > 20})
         for name in stats[0]:
@@ -159,7 +161,7 @@ class TestSimulate:
         assert np.allclose(residuals(ref_model, x), -ref_model.mu_B)
 
     def test_reconstruction_identity(self, ref_model, rng):
-        init = stationary_init_many(ref_model, 1e-6, 1, rng)[0]
+        init = stationary_init_many(ref_model, 1, rng)[0]
         x = simulate(ref_model, 2000, init, rng)
         recon = x[1:] - ref_model.mu_A * x[:-1] - ref_model.mu_B
         assert np.max(np.abs(residuals(ref_model, x) - recon)) == 0.0
@@ -180,7 +182,7 @@ class TestSimulate:
         # fraction of stationary length-8 windows with all-zero history is
         # bounded by P(B=0)^{n-1} plus MC noise
         n, reps = 8, 20000
-        inits = stationary_init_many(ref_model, 1e-6, reps, rng)
+        inits = stationary_init_many(ref_model, reps, rng)
         paths = simulate_batch(ref_model, n, inits, rng)
         frac = np.mean((paths[:, :-1] == 0).all(axis=1))
         bound = 0.7 ** (n - 1)
@@ -205,7 +207,7 @@ class TestReduceMode:
         steps = _REDUCE_BUDGET // self.chains
         n = int(n_blocks * steps)
         rng = np.random.default_rng(31)
-        inits = stationary_init_many(ref_model, 1e-6, self.chains, rng)
+        inits = stationary_init_many(ref_model, self.chains, rng)
         state = rng.bit_generator.state
         path = simulate_batch(ref_model, n, inits, rng)
         rng.bit_generator.state = state
@@ -303,7 +305,7 @@ class TestAgreementInLaw:
         stats = []
         for engine, seed in ((simulate_batch, 1), (_per_step_loop, 2)):
             rng = np.random.default_rng(seed)
-            inits = stationary_init_many(params, 1e-6, chains, rng)
+            inits = stationary_init_many(params, chains, rng)
             x = engine(params, n, inits, rng)[:, 1:]
             capped = np.minimum(x, 50).astype(np.float64)
             stats.append({

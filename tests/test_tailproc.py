@@ -151,6 +151,17 @@ class TestLaplaceAnalytic:
             laplace_functional_gap(ref_model, 0.5, [1.0, -1.0], n=100,
                                    a_n=10.0, reps=10, seed=0)
 
+    def test_gap_survives_underflow(self, ref_model, monkeypatch):
+        # exp(-2 * 800) underflows to 0; shifted by the least count, the
+        # empirical value is 1600 - log((1 + exp(-200)) / 2)
+        monkeypatch.setattr(tailproc, "exceedance_counts",
+                            lambda *args: np.array([800, 900]))
+        out = laplace_functional_gap(ref_model, 0.5, 2.0, n=100, a_n=10.0,
+                                     reps=2, seed=0)
+        assert out[2.0]["empirical"] == pytest.approx(1600 + math.log(2),
+                                                      rel=1e-15)
+        assert math.isfinite(out[2.0]["stderr"])
+
     def test_saturates_at_intensity(self, ref_model):
         # s -> inf limit is theta * eps^-alpha (every cluster is seen)
         eps = 0.5
@@ -231,6 +242,6 @@ class TestValidators:
         reps, level = 300, 10.0
         counts = exceedance_counts(ref_model, n, reps, level, seed=[5, 0])
         rng = np.random.default_rng([5, 0])
-        inits = stationary_init_many(ref_model, 1e-6, reps, rng)
+        inits = stationary_init_many(ref_model, reps, rng)
         path = simulate_batch(ref_model, n, inits, rng)
         assert np.array_equal(counts, (path[:, 1:] > level).sum(axis=1))
