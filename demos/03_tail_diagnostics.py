@@ -17,7 +17,7 @@ from gwi import (
     OffspringLaw,
     karamata_limit,
     karamata_ratio,
-    sample_tail_path,
+    sample_tail_paths,
     validate_pseudo_tail,
 )
 from gwi.tailproc import run_stationary_batch
@@ -29,10 +29,10 @@ params = ModelParams(
 
 # the limiting tail path itself: Pareto front value, geometric cutoff
 rng = np.random.default_rng(3)
-path = sample_tail_path(params.alpha, params.mu_A, 3, rng)
+y, k = sample_tail_paths(params.alpha, params.mu_A, 3, 1, rng)
 print("one tail-process draw (lags -3..3):")
-print("  " + "  ".join(f"{v:.3f}" for v in path.y))
-print(f"  front value Y_0 = {path.y0:.3f}, backward survival K = {path.k}")
+print("  " + "  ".join(f"{v:.3f}" for v in y[0]))
+print(f"  front value Y_0 = {y[0, 3]:.3f}, backward survival K = {k[0]}")
 
 # condition a long run on large values and compare with the limit
 paths = run_stationary_batch(params, total_steps=2_000_000, chains=20, seed=5)

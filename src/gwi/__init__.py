@@ -26,9 +26,8 @@ from .process import (
     stationary_init_many,
 )
 from .tailproc import (
-    TailPath,
     laplace_functional_gap,
-    sample_tail_path,
+    sample_tail_paths,
     validate_pseudo_tail,
 )
 

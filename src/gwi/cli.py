@@ -85,8 +85,10 @@ def parse_config(path: str | None) -> dict:
     outside its range raises ``click.UsageError`` naming the key.
     ``compensate`` is true/false/1/0/yes/no, in any case; ``offspring``
     is bernoulli, poisson or geometric; ``s_values`` and ``t_values``
-    are non-empty lists of comma-separated finite floats, and
-    ``laplace-validate`` rejects a negative ``s_values`` entry.
+    are non-empty lists of comma-separated finite floats.
+    ``laplace-validate`` rejects a negative ``s_values`` entry, and
+    ``tail-validate`` an ``n``, ``chains`` and ``quantile`` that leave
+    fewer than ``tailproc.MIN_EVENTS`` values above the quantile.
     """
     cfg = dict(_DEFAULTS)
     if path:
@@ -254,6 +256,14 @@ def _tail_validate(cfg, out_dir, workers):
         raise click.UsageError(
             f"config key 'n' must be at least 'chains' ({cfg['chains']}) "
             f"for tail-validate, got {cfg['n']}")
+    # no more path values than this lie above the interpolated quantile
+    n_values = cfg["chains"] * (cfg["n"] // cfg["chains"] + 1)
+    bound = (n_values - 1) * (1.0 - cfg["quantile"]) + 1.0
+    if bound < tailproc.MIN_EVENTS:
+        raise click.UsageError(
+            f"config keys 'n', 'chains' and 'quantile' leave at most "
+            f"{bound:.1f} values above the quantile, fewer than the "
+            f"{tailproc.MIN_EVENTS} events tail-validate needs")
     params = _model(cfg)
     paths = tailproc.run_stationary_batch(
         params, cfg["n"], cfg["chains"], [cfg["seed"], 0])
@@ -274,14 +284,12 @@ def _laplace_validate(cfg, out_dir, workers):
         raise click.UsageError("config key 's_values' must be >= 0 for "
                                f"laplace-validate, got {cfg['s_values']!r}")
     params = _model(cfg)
-    a_n = process.scaling(params, cfg["n"])
     report = tailproc.laplace_functional_gap(
-        params, cfg["eps"], s_values, cfg["n"], a_n,
-        cfg["reps"], [cfg["seed"], 0])
+        params, cfg["eps"], s_values, cfg["n"], cfg["reps"], [cfg["seed"], 0])
     path = _write_json(out_dir / "laplace_report.json", {
         "statistic": "exceedance Laplace functional",
-        "eps": cfg["eps"], "n": cfg["n"], "a_n": a_n,
-        "reps": cfg["reps"],
+        "eps": cfg["eps"], "n": cfg["n"],
+        "a_n": process.scaling(params, cfg["n"]), "reps": cfg["reps"],
         "per_s": {str(k): v for k, v in report.items()},
     })
     return [path], [cfg["seed"]], {}, None

@@ -365,8 +365,8 @@ def _cdf_positive(p: LimitParams, x: float, tol: float) -> float:
         return (2.0 / a) * cf_joint(p, -u * x, u).imag / w
 
     try:
-        val, err = gauss_kronrod(f, 0.0, w_max, math.pi * budget,
-                                 initial=np.linspace(0.0, w_max, 9))
+        val, err = gauss_kronrod(f, np.linspace(0.0, w_max, 9),
+                                 math.pi * budget)
     except QuadratureError as exc:
         raise QuadratureError(
             f"cdf_ratio: Gil-Pelaez integral at x = {x:g}: {exc}") from None

@@ -3,9 +3,10 @@
 The 7-point Gauss / 15-point Kronrod pair gives an embedded error
 estimate per panel; panels whose error exceeds their share of the
 budget are bisected, with every pending panel of a generation evaluated
-in one vectorised call.  ``limitlaw.cdf_ratio`` uses it for the
-Gil-Pelaez integral.  No integral here has an oscillatory tail: the
-joint CF is taken along a rotated ray where its integrand decays.
+in one vectorised call.  The one caller, ``limitlaw.cdf_ratio``, seeds
+the Gil-Pelaez integral with 9 equally spaced breakpoints.  No integral
+here has an oscillatory tail: the joint CF is taken along a rotated ray
+where its integrand decays.
 ``euler_accelerated_sum`` (Euler summation of an alternating series)
 has no caller in the package; it stays only because
 ``perfbench/spans.py`` patches it by name.
@@ -47,42 +48,30 @@ _W_G = np.zeros(15)
 _W_G[1:14:2] = _w_gauss_half
 
 
-def panel_nodes(a, b):
-    """Kronrod nodes for panels [a_i, b_i]; returns (nodes, half-widths)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return mid[:, None] + half[:, None] * _NODES[None, :], half
+_MAX_PANELS = 4096  # accepted plus pending panels allowed before giving up
 
 
-def panel_estimates(fvals, half):
-    """Kronrod value and |Kronrod - Gauss| error per panel."""
-    k15 = (fvals * _W_K).sum(axis=1) * half
-    g7 = (fvals * _W_G).sum(axis=1) * half
-    return k15, np.abs(k15 - g7)
+def gauss_kronrod(f, breaks, tol):
+    """Integrate ``f`` over [breaks[0], breaks[-1]] to within ``tol``.
 
-
-def gauss_kronrod(f, a, b, tol, max_panels=4096, initial=None):
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
-
-    ``f`` must map an array of points to (possibly complex) values.  An
-    optional ``initial`` breakpoint sequence seeds the first generation
-    of panels.  Raises QuadratureError if the budget is exhausted before
-    the summed panel errors drop below ``tol``.
+    ``f`` must map an array of points to (possibly complex) values.  The
+    ascending ``breaks`` seed the first generation of panels.  Returns
+    (value, summed panel error); raises QuadratureError if more than
+    ``_MAX_PANELS`` panels would be needed to bring that error below
+    ``tol``.
     """
-    if initial is None:
-        pts = np.array([a, b], dtype=np.float64)
-    else:
-        pts = np.asarray(initial, dtype=np.float64)
+    pts = np.asarray(breaks, dtype=np.float64)
     lo, hi = pts[:-1], pts[1:]
     total = 0.0 + 0.0j
     err_done = 0.0
     n_done = 0
     while True:
-        nodes, half = panel_nodes(lo, hi)
+        half = 0.5 * (hi - lo)
+        nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _NODES
         vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-        k15, err = panel_estimates(vals, half)
+        # Kronrod value and |Kronrod - Gauss| error per panel
+        k15 = (vals * _W_K).sum(axis=1) * half
+        err = np.abs(k15 - (vals * _W_G).sum(axis=1) * half)
         order = np.argsort(err)
         # accept the easy panels, keep splitting the hard ones
         budget = tol - err_done
@@ -95,7 +84,7 @@ def gauss_kronrod(f, a, b, tol, max_panels=4096, initial=None):
         total += k15[acc].sum()
         err_done += err[acc].sum()
         n_done += len(acc)
-        if n_done + 2 * len(rem) > max_panels:
+        if n_done + 2 * len(rem) > _MAX_PANELS:
             raise QuadratureError("panel budget exhausted before reaching tol")
         mid = 0.5 * (lo[rem] + hi[rem])
         lo = np.concatenate([lo[rem], mid])

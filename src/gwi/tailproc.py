@@ -4,10 +4,12 @@ Conditional on a large stationary value, the rescaled path converges to
 the tail process Y_i = mu_A^i * Y_0 for i >= 0 and
 Y_i = mu_A^i * 1{K >= -i} * Y_0 for i < 0, with Y_0 Pareto(alpha) on
 [1, inf) and K geometric: P(K = k) = mu_A^{alpha k} * (1 - mu_A^alpha).
-The validators here tie long simulations to that limit: the conditional
-law of the scaled residual W'_0 = M_1/sqrt(X_0) approaches
-N(0, sigma_A2), and the point process of exceedances has a closed-form
-Laplace functional.  Their chains start from
+``sample_tail_paths`` draws many such paths on a window -m..m in one
+call.  The validators here tie long simulations to that limit: the
+conditional law of the scaled residual W'_0 = M_1/sqrt(X_0) approaches
+N(0, sigma_A2), checked on at least ``MIN_EVENTS`` exceedances of a
+high quantile, and the point process of exceedances of a_n * eps has a
+closed-form Laplace functional.  Their chains start from
 ``process.stationary_init_many``, the backward series truncated at the
 fixed mean remainder ``process._INIT_TOL``.  The forward tail process of
 the pair (X^{3/2}, X*M) has tail index 2*alpha/3; its front pair is
@@ -23,12 +25,14 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
 
-from .process import ModelParams, simulate_batch, stationary_init_many
+from .process import ModelParams, scaling, simulate_batch, stationary_init_many
+
+MIN_EVENTS = 1000  # least number of exceedances validate_pseudo_tail accepts
 
 __all__ = [
-    "TailPath",
+    "MIN_EVENTS",
     "PseudoTailReport",
-    "sample_tail_path",
+    "sample_tail_paths",
     "sample_forward_front_many",
     "forward_tail_normalization",
     "run_stationary_batch",
@@ -39,32 +43,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TailPath:
-    """One tail-process realization on the window -m..m."""
+def sample_tail_paths(
+    alpha: float, mu_A: float, m: int, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` draws of (Y_{-m}, ..., Y_m) and their backward cutoffs K.
 
-    y: np.ndarray
-    k: int
-    y0: float
-
-    def value(self, i: int) -> float:
-        m = (len(self.y) - 1) // 2
-        return float(self.y[i + m])
-
-
-def sample_tail_path(
-    alpha: float, mu_A: float, m: int, rng: np.random.Generator
-) -> TailPath:
-    """Draw (Y_{-m}, ..., Y_m): Pareto front value, geometric backward cutoff."""
+    Returns ``y`` of shape (size, 2m+1), Y_0 in column m, and ``k``:
+    the front value is Pareto(alpha), column m+i holds mu_A^i * Y_0, and
+    the backward columns m-i are 0 for i > K.
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
     theta = 1.0 - mu_A**alpha
-    y0 = rng.random() ** (-1.0 / alpha)
-    k = int(rng.geometric(theta)) - 1  # support {0,1,...}, P(k)=(1-theta)^k theta
+    y0 = rng.random(size) ** (-1.0 / alpha)
+    # support {0,1,...}: P(k) = (1-theta)^k theta
+    k = rng.geometric(theta, size) - 1
     lags = np.arange(-m, m + 1)
-    y = mu_A ** lags.astype(np.float64) * y0
-    y[lags < 0] *= (k >= -lags[lags < 0]).astype(np.float64)
-    return TailPath(y=y, k=k, y0=float(y0))
+    y = mu_A ** lags.astype(np.float64) * y0[:, None]
+    y[k[:, None] < -lags] = 0.0
+    return y, k
 
 
 def _front_mixture(alpha: float, sigma_A2: float):
@@ -159,22 +156,21 @@ class PseudoTailReport:
 def validate_pseudo_tail(
     params: ModelParams,
     paths: np.ndarray,
-    threshold: float | None = None,
     quantile: float = 0.999,
-    min_events: int = 1000,
 ) -> PseudoTailReport:
     """Check the conditional limit law on events {X_t > threshold}.
 
-    Collects, at every exceedance time with a successor step, the scaled
-    residual W'_0 = M_{t+1}/sqrt(X_t), the one-step ratio X_{t+1}/X_t,
-    and the overshoot X_t/threshold, and compares them with N(0,
-    sigma_A2), mu_A, and Pareto(alpha) respectively.
+    The threshold is the ``quantile`` of all path values.  Collects, at
+    every exceedance time with a successor step, the scaled residual
+    W'_0 = M_{t+1}/sqrt(X_t), the one-step ratio X_{t+1}/X_t, and the
+    overshoot X_t/threshold, and compares them with N(0, sigma_A2),
+    mu_A, and Pareto(alpha) respectively.  Raises ``ValueError`` when
+    fewer than ``MIN_EVENTS`` exceedances are found.
     """
     x = np.asarray(paths)
-    if threshold is None:
-        threshold = float(np.quantile(x.ravel(), quantile))
+    threshold = float(np.quantile(x.ravel(), quantile))
     hit = x[:, :-1] > threshold
-    if int(hit.sum()) < min_events:
+    if int(hit.sum()) < MIN_EVENTS:
         raise ValueError("insufficient conditioning events")
     x0 = x[:, :-1][hit].astype(np.float64)
     x1 = x[:, 1:][hit].astype(np.float64)
@@ -235,27 +231,32 @@ def laplace_analytic(params: ModelParams, eps: float, s: float) -> float:
 def laplace_functional_gap(
     params: ModelParams,
     eps: float,
-    s,
+    s_values,
     n: int,
-    a_n: float,
     reps: int,
     seed,
 ) -> dict:
     """Empirical vs analytic -log E[exp(-N_n(f))] for f = s*1{x > eps}.
 
-    ``s`` may be a scalar or a sequence; the exceedance counts are
-    simulated once, from stationary starts, and reused.  Returns per-s
-    empirical value, analytic value, absolute gap, and a delta-method
-    standard error of the empirical side.  A negative ``s`` raises
+    N_n counts the steps 1..n of a chain above a_n * eps, a_n =
+    ``scaling(params, n)``.  The exceedance counts are simulated once,
+    from stationary starts, and reused for every s in the sequence
+    ``s_values``.  Returns per-s empirical value, analytic value,
+    absolute gap, a delta-method standard error of the empirical side,
+    and ``ess`` = (sum w)^2 / sum w^2, the effective number of chains
+    behind the mean of the weights w.  ``stderr`` is meaningful only
+    when ``ess`` is large: when one chain's weight dominates, ``ess``
+    is near 1 and ``stderr`` saturates near 1.  A negative s raises
     ``ValueError`` before any chain is simulated.
 
     The weights exp(-s*k) are shifted by the least count k0, so that
     they do not all underflow to 0 when every chain has many
     exceedances: -log E[exp(-s*k)] = s*k0 - log E[exp(-s*(k - k0))].
+    ``stderr`` and ``ess`` are unchanged by the shift.
     """
-    s_values = [float(sv) for sv in np.atleast_1d(np.asarray(s, np.float64))]
+    s_values = [float(sv) for sv in s_values]
     analytic = [laplace_analytic(params, eps, sv) for sv in s_values]
-    counts = exceedance_counts(params, n, reps, a_n * eps, seed)
+    counts = exceedance_counts(params, n, reps, scaling(params, n) * eps, seed)
     k0 = int(counts.min())
     out = {}
     for sv, ana in zip(s_values, analytic):
@@ -269,5 +270,6 @@ def laplace_functional_gap(
             "analytic": ana,
             "gap": abs(emp - ana),
             "stderr": stderr,
+            "ess": float(w.sum() ** 2 / (w * w).sum()),
         }
     return out

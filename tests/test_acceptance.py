@@ -204,9 +204,7 @@ def test_acceptance_08_conditional_residual_law(ref_model, tail_run):
 
 
 def test_acceptance_09_laplace_functional(ref_model):
-    n = 10**6
-    a_n = scaling(ref_model, n)
-    out = laplace_functional_gap(ref_model, 1.0, [0.5, 1.0, 2.0], n, a_n,
+    out = laplace_functional_gap(ref_model, 1.0, [0.5, 1.0, 2.0], 10**6,
                                  500, [MASTER_SEED, 3])
     worst = max((rec["gap"] - (3.0 * rec["stderr"] + 0.02), s)
                 for s, rec in out.items())

@@ -6,7 +6,8 @@ benchmark rounds, so it must fail here too.  A changed signature breaks
 them as well (a span's work count reads an argument by position), so
 small runs of every stepping entry point must record
 ``process.step_batch`` spans, and work beyond one family per span, under
-the installed tracer.
+the installed tracer, and one ``cdf_ratio`` point must record
+``quadrature.gauss_kronrod`` spans and integrand spans with work.
 """
 
 import os
@@ -56,6 +57,20 @@ for name, run in (
 """
 
 
+_QUAD = _INSTALL + """
+import numpy as np
+p = limitlaw.LimitParams(alpha=1.5, mu_A=0.5, sigma_A2=0.5)
+limitlaw.cdf_ratio(p, 1.0)
+t = tracer.table()
+gk = t["name"] == tracer.ids["quadrature.gauss_kronrod"]
+integrand = t["name"] == tracer.ids["quadrature.integrand"]
+# the integrand's work is its point count; the benchmark's wrapper wraps
+# the first positional argument, so a moved ``f`` breaks the call
+assert gk.sum() > 0 and integrand.sum() > 0, (gk.sum(), integrand.sum())
+assert np.all(t["work"][integrand] > 0), t["work"][integrand]
+"""
+
+
 def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -72,4 +87,9 @@ def test_spans_install_finds_every_name():
 
 def test_traced_stepping_records_work():
     result = _run(_STEP)
+    assert result.returncode == 0, result.stderr
+
+
+def test_traced_cdf_records_quadrature():
+    result = _run(_QUAD)
     assert result.returncode == 0, result.stderr

@@ -184,8 +184,21 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "name", [name for name in _TINY if name != "tail-validate"])
     def test_default_config_runs(self, runner, tmp_path, name):
-        # tail-validate's defaults (n = 1000) leave too few events
         _run(runner, name, "--out", str(tmp_path / "out"))
+
+    def test_tail_validate_default_config_rejected(self, runner, tmp_path,
+                                                   monkeypatch):
+        # n = 1000 over 100 chains leaves at most 2.1 of 1100 values
+        # above the 0.999-quantile, short of tailproc.MIN_EVENTS
+        seen = []
+        monkeypatch.setattr(tailproc, "stationary_init_many",
+                            lambda *args: seen.append(args))
+        out = tmp_path / "tail"
+        result = runner.invoke(main, ["tail-validate", "--out", str(out)])
+        assert result.exit_code == 2
+        for key in ("'n'", "'chains'", "'quantile'", "2.1"):
+            assert key in result.output
+        assert seen == [] and not out.exists()
 
     def test_tail_validate_needs_a_step_per_chain(self, runner, tmp_path,
                                                   monkeypatch):

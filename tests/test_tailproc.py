@@ -14,37 +14,43 @@ from gwi.tailproc import (
     laplace_functional_gap,
     run_stationary_batch,
     sample_forward_front_many,
-    sample_tail_path,
+    sample_tail_paths,
     validate_pseudo_tail,
 )
 
 FWD_NORM_ORACLE = 1.00849070261682964  # alpha=1.5, sigma_A2=0.25, mpmath
 
 
-class TestTailPath:
-    def test_structure(self, rng):
-        path = sample_tail_path(1.5, 0.5, 4, rng)
-        assert path.value(0) == path.y0
-        for i in range(5):
-            assert path.value(i) == pytest.approx(0.5**i * path.y0)
-        for i in range(1, 5):
-            back = path.value(-i)
-            if path.k >= i:
-                assert back == pytest.approx(0.5**-i * path.y0)
-            else:
-                assert back == 0.0
+@pytest.fixture
+def tail_draws(rng):
+    """5000 tail paths at alpha = 1.5, mu_A = 0.5 on the window -4..4."""
+    return sample_tail_paths(1.5, 0.5, 4, 5000, rng)
 
-    def test_front_pareto(self, rng):
-        y0 = np.array([sample_tail_path(1.5, 0.5, 0, rng).y0
-                       for _ in range(5000)])
-        ks = stats.kstest(y0, lambda y: 1.0 - y**-1.5)
+
+class TestTailPath:
+    def test_structure(self, tail_draws):
+        y, k = tail_draws
+        assert y.shape == (5000, 9) and k.shape == (5000,)
+        y0 = y[:, 4]
+        for i in range(5):
+            assert y[:, 4 + i] == pytest.approx(0.5**i * y0, rel=1e-15)
+        for i in range(1, 5):
+            back = y[:, 4 - i]
+            alive = k >= i
+            # both branches occur: P(K >= 4) = 0.5^6 of 5000 draws
+            assert alive.any() and not alive.all()
+            assert back[alive] == pytest.approx(0.5**-i * y0[alive],
+                                                rel=1e-15)
+            assert np.all(back[~alive] == 0.0)
+
+    def test_front_pareto(self, tail_draws):
+        ks = stats.kstest(tail_draws[0][:, 4], lambda y: 1.0 - y**-1.5)
         assert ks.pvalue > 1e-3
 
-    def test_cutoff_geometric(self, rng):
+    def test_cutoff_geometric(self, tail_draws):
         alpha, mu = 1.5, 0.5
         theta = 1.0 - mu**alpha
-        k = np.array([sample_tail_path(alpha, mu, 0, rng).k
-                      for _ in range(5000)])
+        k = tail_draws[1]
         assert k.min() >= 0
         # mean of the {0,1,...} geometric is (1-theta)/theta
         want = (1.0 - theta) / theta
@@ -53,7 +59,7 @@ class TestTailPath:
 
     def test_negative_window_rejected(self, rng):
         with pytest.raises(ValueError):
-            sample_tail_path(1.5, 0.5, -1, rng)
+            sample_tail_paths(1.5, 0.5, -1, 10, rng)
 
 
 class TestForwardTail:
@@ -149,18 +155,28 @@ class TestLaplaceAnalytic:
                             lambda *args: pytest.fail("chains simulated"))
         with pytest.raises(ValueError, match="nonnegative"):
             laplace_functional_gap(ref_model, 0.5, [1.0, -1.0], n=100,
-                                   a_n=10.0, reps=10, seed=0)
+                                   reps=10, seed=0)
 
     def test_gap_survives_underflow(self, ref_model, monkeypatch):
         # exp(-2 * 800) underflows to 0; shifted by the least count, the
         # empirical value is 1600 - log((1 + exp(-200)) / 2)
         monkeypatch.setattr(tailproc, "exceedance_counts",
                             lambda *args: np.array([800, 900]))
-        out = laplace_functional_gap(ref_model, 0.5, 2.0, n=100, a_n=10.0,
-                                     reps=2, seed=0)
+        out = laplace_functional_gap(ref_model, 0.5, [2.0], n=100, reps=2,
+                                     seed=0)
         assert out[2.0]["empirical"] == pytest.approx(1600 + math.log(2),
                                                       rel=1e-15)
         assert math.isfinite(out[2.0]["stderr"])
+        # one chain carries all the weight
+        assert out[2.0]["ess"] == 1.0
+
+    def test_ess_of_equal_counts(self, ref_model, monkeypatch):
+        # equal weights: every chain counts, whatever s
+        monkeypatch.setattr(tailproc, "exceedance_counts",
+                            lambda *args: np.full(7, 3))
+        out = laplace_functional_gap(ref_model, 0.5, [0.0, 0.5, 2.0], n=100,
+                                     reps=7, seed=0)
+        assert [rec["ess"] for rec in out.values()] == [7.0, 7.0, 7.0]
 
     def test_saturates_at_intensity(self, ref_model):
         # s -> inf limit is theta * eps^-alpha (every cluster is seen)
@@ -209,31 +225,32 @@ class TestValidators:
         assert paths.shape == (20, 20001)
 
     def test_pseudo_tail_smoke(self, ref_model, paths):
-        rep = validate_pseudo_tail(ref_model, paths, quantile=0.995,
-                                   min_events=500)
-        assert rep.n_events >= 500
+        rep = validate_pseudo_tail(ref_model, paths, quantile=0.995)
+        assert rep.n_events >= tailproc.MIN_EVENTS
         assert 0 <= rep.ks_w0_normal <= 1
         assert 0 <= rep.ks_front_pareto <= 1
         assert abs(rep.mean_ratio - ref_model.mu_A) < 0.5
 
     def test_insufficient_events(self, ref_model, paths):
         with pytest.raises(ValueError, match="insufficient conditioning"):
-            validate_pseudo_tail(ref_model, paths, threshold=10.0**9)
+            # at most 1.04 of the 400020 values lie above this quantile
+            validate_pseudo_tail(ref_model, paths, quantile=1.0 - 1e-7)
 
     def test_laplace_gap_structure(self, ref_model):
         out = laplace_functional_gap(ref_model, 0.5, [0.5, 1.0],
-                                     n=2000, a_n=20.0, reps=400, seed=7)
+                                     n=2000, reps=400, seed=7)
         assert set(out) == {0.5, 1.0}
         for rec in out.values():
             assert rec["gap"] == pytest.approx(
                 abs(rec["empirical"] - rec["analytic"]))
             assert rec["stderr"] > 0
+            assert 1.0 <= rec["ess"] <= 400.0
 
     def test_laplace_gap_deterministic(self, ref_model):
-        a = laplace_functional_gap(ref_model, 0.5, 1.0, n=1000, a_n=15.0,
-                                   reps=200, seed=3)
-        b = laplace_functional_gap(ref_model, 0.5, 1.0, n=1000, a_n=15.0,
-                                   reps=200, seed=3)
+        a = laplace_functional_gap(ref_model, 0.5, [1.0], n=1000, reps=200,
+                                   seed=3)
+        b = laplace_functional_gap(ref_model, 0.5, [1.0], n=1000, reps=200,
+                                   seed=3)
         assert a == b
 
     @pytest.mark.parametrize("n", [500, 3])
