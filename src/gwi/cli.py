@@ -19,7 +19,6 @@ from pathlib import Path
 import click
 import numpy as np
 import scipy
-from scipy import stats as sp_stats
 
 from . import distributions as dist
 from . import estimator, limitlaw, process, tailproc
@@ -86,7 +85,8 @@ def parse_config(path: str | None) -> dict:
     ``compensate`` is true/false/1/0/yes/no, in any case; ``offspring``
     is bernoulli, poisson or geometric; ``s_values`` and ``t_values``
     are non-empty lists of comma-separated finite floats.
-    ``laplace-validate`` rejects a negative ``s_values`` entry, and
+    ``laplace-validate`` rejects a negative ``s_values`` entry and an
+    ``eps`` and ``n`` whose level a_n*eps is below 1, and
     ``tail-validate`` an ``n``, ``chains`` and ``quantile`` that leave
     fewer than ``tailproc.MIN_EVENTS`` values above the quantile.
     """
@@ -284,15 +284,23 @@ def _laplace_validate(cfg, out_dir, workers):
         raise click.UsageError("config key 's_values' must be >= 0 for "
                                f"laplace-validate, got {cfg['s_values']!r}")
     params = _model(cfg)
+    a_n = process.scaling(params, cfg["n"])
+    level = a_n * cfg["eps"]
+    # below one individual every nonzero step exceeds the level: ess ~ 1
+    if level < 1.0:
+        raise click.UsageError(
+            f"config keys 'eps' and 'n' put the exceedance level a_n*eps at "
+            f"{level:.4g}; laplace-validate needs at least 1")
     report = tailproc.laplace_functional_gap(
         params, cfg["eps"], s_values, cfg["n"], cfg["reps"], [cfg["seed"], 0])
     path = _write_json(out_dir / "laplace_report.json", {
         "statistic": "exceedance Laplace functional",
-        "eps": cfg["eps"], "n": cfg["n"],
-        "a_n": process.scaling(params, cfg["n"]), "reps": cfg["reps"],
+        "eps": cfg["eps"], "n": cfg["n"], "a_n": a_n, "reps": cfg["reps"],
         "per_s": {str(k): v for k, v in report.items()},
     })
-    return [path], [cfg["seed"]], {}, None
+    health = {"level": level,
+              "min_ess": min(rec["ess"] for rec in report.values())}
+    return [path], [cfg["seed"]], {}, health
 
 
 def _karamata(cfg, out_dir, workers):
@@ -403,7 +411,10 @@ def compare(samples_a, samples_b):
     b = _load_column(samples_b)
     if len(a) < 500 or len(b) < 500:
         raise click.UsageError("each sample must hold at least 500 rows")
-    res = sp_stats.ks_2samp(a, b, method="asymp")
+    # imported here: scipy.stats would add about 0.7 s to every command
+    from scipy import stats
+
+    res = stats.ks_2samp(a, b, method="asymp")
     click.echo(json.dumps({
         "statistic": "two-sample KS",
         "distance": float(res.statistic),

@@ -6,6 +6,7 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy import stats
 
 from gwi import limitlaw, process, tailproc
 from gwi.cli import (
@@ -182,7 +183,8 @@ class TestRegistry:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
-        "name", [name for name in _TINY if name != "tail-validate"])
+        "name", [name for name in _TINY
+                 if name not in ("tail-validate", "laplace-validate")])
     def test_default_config_runs(self, runner, tmp_path, name):
         _run(runner, name, "--out", str(tmp_path / "out"))
 
@@ -226,6 +228,20 @@ class TestRegistry:
         assert result.exit_code == 2
         assert "'s_values'" in result.output
         assert seen == []
+
+    def test_laplace_validate_default_config_rejected(self, runner, tmp_path,
+                                                      monkeypatch):
+        # n = 1000, eps = 0.01 put a_n*eps at 0.5994: every nonzero step
+        # would be an exceedance
+        seen = []
+        monkeypatch.setattr(tailproc, "stationary_init_many",
+                            lambda *args: seen.append(args))
+        out = tmp_path / "lap"
+        result = runner.invoke(main, ["laplace-validate", "--out", str(out)])
+        assert result.exit_code == 2
+        for key in ("'eps'", "'n'", "0.5994"):
+            assert key in result.output
+        assert seen == [] and not out.exists()
 
     def test_rejected_config_leaves_no_directory(self, runner, tmp_path):
         cfg = tmp_path / "lap.cfg"
@@ -482,6 +498,20 @@ class TestLimitSample:
             "min_terms_used": int(terms.min())}
 
 
+class TestLaplaceValidate:
+    def test_report_and_health(self, runner, tmp_path):
+        cfg = tmp_path / "lap.cfg"
+        cfg.write_text(_TINY["laplace-validate"])
+        out = tmp_path / "lap"
+        _run(runner, "laplace-validate", "--config", str(cfg), "--out", str(out))
+        report = json.loads((out / "laplace_report.json").read_text())
+        assert set(report) == {"statistic", "eps", "n", "a_n", "reps", "per_s"}
+        health = json.loads((out / "manifest.json").read_text())["health"]
+        assert health == {
+            "level": report["a_n"] * report["eps"],
+            "min_ess": min(rec["ess"] for rec in report["per_s"].values())}
+
+
 class TestCompare:
     def test_identical_samples(self, runner, tmp_path):
         rng = np.random.default_rng(1)
@@ -507,6 +537,19 @@ class TestCompare:
         np.savetxt(p, np.arange(10, dtype=float), fmt="%.10g")
         result = runner.invoke(main, ["compare", str(p), str(p)])
         assert result.exit_code != 0
+
+    def test_matches_scipy(self, runner, tmp_path):
+        rng = np.random.default_rng(16)
+        a = rng.normal(size=3000)
+        b = rng.normal(0.05, size=3000)
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        np.savetxt(pa, a, fmt="%.17g")
+        np.savetxt(pb, b, fmt="%.17g")
+        rec = json.loads(_run(runner, "compare", str(pa), str(pb)).output)
+        res = stats.ks_2samp(a, b, method="asymp")
+        assert rec["distance"] == res.statistic
+        assert rec["p_value"] == res.pvalue
+        assert 0 < rec["p_value"] < 1
 
     def test_header_skipped(self, runner, tmp_path):
         p = tmp_path / "h.csv"

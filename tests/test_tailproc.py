@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import ndtr
 
 from gwi.distributions import ImmigrationLaw, OffspringLaw
 from gwi import tailproc
 from gwi.process import ModelParams, simulate_batch, stationary_init_many
 from gwi.tailproc import (
+    _ks,
     exceedance_counts,
     forward_tail_normalization,
     laplace_analytic,
@@ -262,3 +264,34 @@ class TestValidators:
         inits = stationary_init_many(ref_model, reps, rng)
         path = simulate_batch(ref_model, n, inits, rng)
         assert np.array_equal(counts, (path[:, 1:] > level).sum(axis=1))
+
+
+class TestKS:
+    """``_ks`` is scipy's one-sample two-sided KS statistic, bit for bit."""
+
+    @staticmethod
+    def _check(sample, cdf):
+        assert _ks(sample, cdf) == stats.kstest(sample, cdf).statistic
+
+    def test_normal_sample(self, rng):
+        sigma = 0.5
+        self._check(rng.normal(0.0, sigma, 4000), lambda v: ndtr(v / sigma))
+
+    def test_pareto_sample(self, rng):
+        alpha = 1.5
+        self._check(rng.random(4000) ** (-1.0 / alpha),
+                    lambda y: 1.0 - y ** -alpha)
+
+    def test_ties(self, ref_model, paths):
+        # integer path values over a threshold, as validate_pseudo_tail
+        # takes the overshoot: many ties
+        x = paths[:, :-1]
+        threshold = float(np.quantile(x, 0.995))
+        front = x[x > threshold].astype(np.float64) / threshold
+        assert len(np.unique(front)) < len(front)
+        alpha = ref_model.alpha
+        self._check(front, lambda y: 1.0 - y ** -alpha)
+
+    @pytest.mark.parametrize("value", [-0.3, 0.0, 2.0])
+    def test_single_value(self, value):
+        self._check(np.array([value]), ndtr)
