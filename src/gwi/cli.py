@@ -224,7 +224,8 @@ def _limit_sample(cfg, out_dir, workers):
     health = {"eps": cfg["eps"], "compensate": cfg["compensate"],
               "trunc_v1_mean_bound": v1_mean, "trunc_v2_sd_bound": v2_sd,
               "mean_terms_used": mean_terms,
-              "min_terms_used": int(np.min(table["terms_used"]))}
+              "min_terms_used": int(np.min(table["terms_used"])),
+              "points": int(table["terms_used"].sum())}
     return [path], [cfg["seed"]], {"mean_terms": mean_terms}, health
 
 
@@ -425,13 +426,27 @@ def compare(samples_a, samples_b):
 
 
 def _load_column(path: str) -> np.ndarray:
+    """First CSV column as floats; a non-numeric first row is a header."""
     rows = Path(path).read_text().strip().splitlines()
+    if not rows:
+        raise click.UsageError(f"{path}: file holds no rows")
     start = 0
     try:
         float(rows[0].split(",")[0])
     except ValueError:
         start = 1
-    return np.array([float(r.split(",")[0]) for r in rows[start:]])
+    values = []
+    for line, row in enumerate(rows[start:], start + 1):
+        field = row.split(",")[0]
+        try:
+            value = float(field)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise click.UsageError(
+                f"{path}, line {line}: {field.strip()!r} is not a finite number")
+        values.append(value)
+    return np.array(values)
 
 
 if __name__ == "__main__":

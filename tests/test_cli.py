@@ -495,7 +495,8 @@ class TestLimitSample:
             "trunc_v1_mean_bound": pytest.approx(v1_mean, rel=1e-15),
             "trunc_v2_sd_bound": pytest.approx(v2_sd, rel=1e-15),
             "mean_terms_used": pytest.approx(terms.mean(), rel=1e-12),
-            "min_terms_used": int(terms.min())}
+            "min_terms_used": int(terms.min()),
+            "points": int(terms.sum())}
 
 
 class TestLaplaceValidate:
@@ -550,6 +551,27 @@ class TestCompare:
         assert rec["distance"] == res.statistic
         assert rec["p_value"] == res.pvalue
         assert 0 < rec["p_value"] < 1
+
+    def test_empty_file_rejected(self, runner, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        result = runner.invoke(main, ["compare", str(p), str(p)])
+        assert result.exit_code == 2
+        assert "empty.csv: file holds no rows" in result.output
+
+    def test_non_numeric_row_rejected(self, runner, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("v1\n" + "\n".join(["1.5", "2.5", "oops", "3.5"]) + "\n")
+        result = runner.invoke(main, ["compare", str(p), str(p)])
+        assert result.exit_code == 2
+        assert "bad.csv, line 4: 'oops' is not a finite number" in result.output
+
+    def test_nan_rejected(self, runner, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("\n".join(["1.5", "nan", "2.5"]) + "\n")
+        result = runner.invoke(main, ["compare", str(p), str(p)])
+        assert result.exit_code == 2
+        assert "nan.csv, line 2: 'nan' is not a finite number" in result.output
 
     def test_header_skipped(self, runner, tmp_path):
         p = tmp_path / "h.csv"

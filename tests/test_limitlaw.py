@@ -127,9 +127,10 @@ class TestCharacteristicFunctions:
 
 
 def _series_points(p, eps, size, rng):
-    """Counts, then the points of ``size`` series drawn by the kernel."""
+    """Row index and point of each of ``size`` series drawn by the kernel."""
     counts = rng.poisson(p.theta * eps ** -p.alpha, size)
-    return _poisson_points(p, eps, counts, rng)
+    idx = np.repeat(np.arange(size), counts)
+    return idx, _poisson_points(p, eps, np.empty(len(idx)), rng)
 
 
 class TestSampler:
@@ -228,17 +229,51 @@ class TestSampler:
                                    normals, rtol=1e-12)
 
     def test_draws_independent_of_chunk(self, ref_limit, monkeypatch):
-        outs = []
-        for chunk in (1, 2**20):
-            monkeypatch.setattr(limitlaw, "_CHUNK_POINTS", chunk)
-            outs.append((
-                sample_limit_pairs(ref_limit, 0.05, 200,
-                                   np.random.default_rng(5), compensate=True),
-                limit_u_samples(ref_limit, 0.05, 200,
-                                np.random.default_rng(5))))
-        (pairs_a, u_a), (pairs_b, u_b) = outs
-        assert pairs_a.tobytes() == pairs_b.tobytes()
-        assert u_a.tobytes() == u_b.tobytes()
+        # at eps = 2e-4 one row holds about 2.3e5 points, more than any chunk
+        for eps, size in ((0.05, 200), (2e-4, 20)):
+            outs = []
+            for chunk in (1, 2**16, 2**20):
+                monkeypatch.setattr(limitlaw, "_CHUNK_POINTS", chunk)
+                outs.append((
+                    sample_limit_pairs(ref_limit, eps, size,
+                                       np.random.default_rng(5),
+                                       compensate=True),
+                    limit_u_samples(ref_limit, eps, size,
+                                    np.random.default_rng(5))))
+            pairs, us = zip(*outs)
+            assert len({x.tobytes() for x in pairs}) == 1
+            assert len({x.tobytes() for x in us}) == 1
+
+    # eps = 100 leaves over 99.9% of rows empty and eps = 0.75 about 37%;
+    # both put fewer than one point per row on average, so each chunk
+    # holds exactly ``chunk`` rows
+    @pytest.mark.parametrize("eps, chunk, size, case", [
+        (100.0, 2**16, 2000, "sparse"),
+        (0.75, 4, 400, "last_row_empty"),
+        (100.0, 8, 800, "empty_chunk")])
+    def test_segment_sums_match_bincount(self, ref_limit, monkeypatch, eps,
+                                         chunk, size, case):
+        monkeypatch.setattr(limitlaw, "_CHUNK_POINTS", chunk)
+        rng = np.random.default_rng(21)
+        idx, pts = _series_points(ref_limit, eps, size, rng)
+        counts = np.bincount(idx, minlength=size)
+        s2 = np.bincount(idx, weights=pts**2, minlength=size)
+        s3 = np.bincount(idx, weights=pts**3, minlength=size)
+        if case == "sparse":
+            assert np.mean(counts == 0) > 0.9 and counts.sum() > 0
+        elif case == "last_row_empty":
+            by_chunk = counts.reshape(-1, chunk)
+            assert np.any((by_chunk[:, -1] == 0) & (by_chunk.sum(axis=1) > 0))
+        else:
+            assert np.any(counts.reshape(-1, chunk).sum(axis=1) == 0)
+
+        got_rng = np.random.default_rng(21)
+        g2, g3, got_counts = limitlaw._poisson_sums(ref_limit, eps, size,
+                                                    got_rng)
+        np.testing.assert_array_equal(got_counts, counts)
+        np.testing.assert_allclose(g2, s2, rtol=1e-13)
+        np.testing.assert_allclose(g3, s3, rtol=1e-13)
+        assert got_rng.random() == rng.random()
 
 
 class TestUStatistic:
