@@ -3,7 +3,8 @@
 Every experiment is fully determined by a flat key=value config file
 plus the command-line seed; outputs are byte-stable across reruns
 and worker counts, and each run writes a manifest recording the
-effective config, seed table, and checksums of the emitted files.
+effective config, the RNG keys it seeded, its health record and
+checksums of the emitted files.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import distributions as dist
-from . import estimator, limitlaw, process, tailproc
+from . import __version__, estimator, limitlaw, process, tailproc
 
 # CSV rows formatted per %-operation.
 _CSV_CHUNK = 2**16
@@ -180,7 +181,7 @@ def _limit_params(cfg) -> limitlaw.LimitParams:
 
 
 # ---------------------------------------------------------------------------
-# experiments: fn(cfg, out_dir, workers) -> (files, seed_table, summary, health)
+# experiments: fn(cfg, out_dir, workers) -> (files, rng_keys, health)
 
 def _simulate(cfg, out_dir, workers):
     """One stationary path with its residuals (trajectory.csv)."""
@@ -197,7 +198,7 @@ def _simulate(cfg, out_dir, workers):
         "n": cfg["n"], "seed": seed, "init": int(init),
         "init_mode": "stationary-series",
     })
-    return [path, meta], [seed], {"init": int(init)}, None
+    return [path, meta], [[seed, 0]], {"init": int(init)}
 
 
 def _estimate(cfg, out_dir, workers):
@@ -206,9 +207,8 @@ def _estimate(cfg, out_dir, workers):
         _model(cfg), cfg["n"], cfg["reps"], cfg["seed"], workers=workers)
     path = write_csv(out_dir / "replications.csv", table.dtype.names,
                      [table[k] for k in table.dtype.names])
-    frac = float(np.mean(table["defined"]))
     return ([path], estimator.replication_seeds(cfg["reps"], cfg["seed"]),
-            {"defined_fraction": frac}, {"defined_fraction": frac})
+            {"defined_fraction": float(np.mean(table["defined"]))})
 
 
 def _limit_sample(cfg, out_dir, workers):
@@ -219,14 +219,13 @@ def _limit_sample(cfg, out_dir, workers):
         p, cfg["eps"], cfg["reps"], rng, compensate=cfg["compensate"])
     path = write_csv(out_dir / "limit_samples.csv", table.dtype.names,
                      [table[k] for k in table.dtype.names])
-    mean_terms = float(np.mean(table["terms_used"]))
     v1_mean, v2_sd = limitlaw.truncation_bounds(p, cfg["eps"])
     health = {"eps": cfg["eps"], "compensate": cfg["compensate"],
               "trunc_v1_mean_bound": v1_mean, "trunc_v2_sd_bound": v2_sd,
-              "mean_terms_used": mean_terms,
+              "mean_terms_used": float(np.mean(table["terms_used"])),
               "min_terms_used": int(np.min(table["terms_used"])),
               "points": int(table["terms_used"].sum())}
-    return [path], [cfg["seed"]], {"mean_terms": mean_terms}, health
+    return [path], [[cfg["seed"], 0]], health
 
 
 def _cdf_table(cfg, out_dir, workers):
@@ -236,7 +235,7 @@ def _cdf_table(cfg, out_dir, workers):
     vals = np.array([limitlaw.cdf_ratio(p, float(x)) for x in grid])
     path = write_csv(out_dir / "cdf.csv", ["x", "cdf"], [grid, vals])
     health = {"tol": limitlaw.CDF_TOL, **limitlaw.cf_rule_health(p)}
-    return [path], [], {}, health
+    return [path], [], health
 
 
 def _cf_table(cfg, out_dir, workers):
@@ -248,7 +247,7 @@ def _cf_table(cfg, out_dir, workers):
     path = write_csv(out_dir / "cf.csv", ["s", "t", "re", "im"],
                      [s.ravel(), t.ravel(), phi.real.ravel(), phi.imag.ravel()])
     health = {"tol": limitlaw.CF_RULE_TOL, **limitlaw.cf_rule_health(p)}
-    return [path], [], {}, health
+    return [path], [], health
 
 
 def _tail_validate(cfg, out_dir, workers):
@@ -275,7 +274,8 @@ def _tail_validate(cfg, out_dir, workers):
         **dataclasses.asdict(report),
         "analytic": {"mean_ratio": params.mu_A},
     })
-    return [path], [cfg["seed"]], {"n_events": report.n_events}, None
+    return [path], [[cfg["seed"], 0]], {"threshold": report.threshold,
+                                        "n_events": report.n_events}
 
 
 def _laplace_validate(cfg, out_dir, workers):
@@ -301,7 +301,7 @@ def _laplace_validate(cfg, out_dir, workers):
     })
     health = {"level": level,
               "min_ess": min(rec["ess"] for rec in report.values())}
-    return [path], [cfg["seed"]], {}, health
+    return [path], [[cfg["seed"], 0]], health
 
 
 def _karamata(cfg, out_dir, workers):
@@ -313,7 +313,7 @@ def _karamata(cfg, out_dir, workers):
         "empirical": dist.karamata_ratio(beta, alpha, x),
         "analytic": dist.karamata_limit(beta, alpha),
     })
-    return [path], [], {}, None
+    return [path], [], {}
 
 
 EXPERIMENTS = {
@@ -328,27 +328,20 @@ EXPERIMENTS = {
 }
 
 
-def _build_id() -> str:
-    try:
-        from importlib.metadata import version
-        return "gwi " + version("gwi")
-    except Exception:  # pragma: no cover
-        return "gwi unknown"
-
-
 def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
-    """Run one experiment of ``EXPERIMENTS``; returns a summary dict.
+    """Run one experiment of ``EXPERIMENTS``; returns its summary.
 
-    If the experiment raises (a rejected config, say), the directories
-    this call made are removed again while they are empty.
+    The summary is the run's health record plus the manifest's path and
+    the output paths.  If the experiment raises (a rejected config, say),
+    the directories this call made are removed again while they are empty.
     """
     if experiment not in EXPERIMENTS:
         raise click.UsageError(f"unknown experiment {experiment!r}")
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
-        files, seed_table, summary, health = EXPERIMENTS[experiment](
+        files, rng_keys, health = EXPERIMENTS[experiment](
             cfg, out_dir, workers)
     except BaseException:
         for d in made:
@@ -358,22 +351,19 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
         raise
     manifest = {
         "experiment": experiment,
-        "config": {k: (v if isinstance(v, (int, float, str)) else str(v))
-                   for k, v in sorted(cfg.items())},
-        "build": _build_id(),
+        "config": dict(sorted(cfg.items())),
+        "build": f"gwi {__version__}",
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
-        "seed_table": seed_table,
-        "wall_clock_s": time.time() - t0,
+        "seed_table": rng_keys,
+        "wall_clock_s": time.perf_counter() - t0,
         "outputs": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                     for f in files},
+        "health": health,
     }
-    if health is not None:
-        manifest["health"] = health
     path = _write_json(out_dir / "manifest.json", manifest)
-    summary["manifest"] = str(path)
-    summary["outputs"] = [str(f) for f in files]
-    return summary
+    return {**health, "manifest": str(path),
+            "outputs": [str(f) for f in files]}
 
 
 @click.group()

@@ -39,7 +39,8 @@ The ratio CDF is the Gil-Pelaez integral (1951)
     P(V2/V1 <= x) = 1/2 - (1/pi) int_0^inf Im phi(-u x, u) / u du,
 
 taken by adaptive Gauss-Kronrod in w, u = w^{2/alpha}, which makes the
-integrand finite at 0.  V2 is conditionally centred normal given V1, so
+integrand finite at 0, from equal seed panels that each span a few of
+the CF's phase cycles.  V2 is conditionally centred normal given V1, so
 F(0) = 1/2 and F(-x) = 1 - F(x) exactly and only x > 0 is integrated.
 A value outside [0, 1] by less than its certified error is projected
 onto it; any other failure raises QuadratureError.
@@ -230,7 +231,7 @@ def limit_u_samples(
 # characteristic functions
 
 CF_RULE_TOL = 1e-11  # certified n-vs-2n error of the normalised exponent
-_RULE_NODES = (20, 40, 80, 160, 320)
+_RULE_NODES = (20, 40, 80, 160, 320)  # each twice the last
 _CERT_POINTS = 257   # per edge of the normalised set
 _CF_CHUNK = 2**17    # (point, node) pairs per block: 2 MB per complex array
 
@@ -286,16 +287,20 @@ def _cf_rule(alpha: float) -> _CFRule:
     The two are compared on a dense grid of the normalised set
     max(|st|, tt) = 1; its st >= 0 half suffices by conjugation.  -Re J
     is least at the grid point (st, tt) = (1, 0), which gives the margin.
+    Each pass's 2n-node values are the next pass's n-node values.
     """
     edge = np.linspace(0.0, 1.0, _CERT_POINTS)
     a = np.concatenate([np.ones_like(edge), edge])
     b = np.concatenate([edge, np.ones_like(edge)])
+    rule = _ray_rule(alpha, _RULE_NODES[0])
+    coarse = _normalised_exponent(rule, a, b)
     for n in _RULE_NODES:
-        fine = _normalised_exponent(_ray_rule(alpha, 2 * n), a, b)
-        rule = _ray_rule(alpha, n)
-        err = float(np.max(np.abs(_normalised_exponent(rule, a, b) - fine)))
+        fine_rule = _ray_rule(alpha, 2 * n)
+        fine = _normalised_exponent(fine_rule, a, b)
+        err = float(np.max(np.abs(coarse - fine)))
         if err <= CF_RULE_TOL:
             return rule._replace(error=err, margin=np.min(-fine.real) - err)
+        rule, coarse = fine_rule, fine
     raise QuadratureError(f"CF rule: {n} nodes differ from {2 * n} by "
                           f"{err:.2e} > {CF_RULE_TOL:g} at alpha = {alpha}")
 
@@ -386,8 +391,14 @@ def _cdf_positive(p: LimitParams, x: float, tol: float) -> float:
         u = w ** (2.0 / a)
         return (2.0 / a) * cf_joint(p, -u * x, u).imag / w
 
+    # phi turns tan(pi alpha/4) radians per unit of log-decay (V1's stable
+    # phase), so [0, w_max] holds about tan(pi alpha/4)*45/(2 pi) cycles.
+    # Over a panel of many, K15 and G7 can agree on a wrong value: with 10
+    # cycles per seed panel they did from alpha = 1.98; with 5, not to 1.995
+    cycles = math.tan(math.pi * a / 4.0) * _DAMP_LOG / (2.0 * math.pi)
+    panels = max(8, math.ceil(cycles / 5.0))
     try:
-        val, err = gauss_kronrod(f, np.linspace(0.0, w_max, 9),
+        val, err = gauss_kronrod(f, np.linspace(0.0, w_max, panels + 1),
                                  math.pi * budget)
     except QuadratureError as exc:
         raise QuadratureError(

@@ -4,7 +4,8 @@ The 7-point Gauss / 15-point Kronrod pair gives an embedded error
 estimate per panel; panels whose error exceeds their share of the
 budget are bisected, with every pending panel of a generation evaluated
 in one vectorised call.  The one caller, ``limitlaw.cdf_ratio``, seeds
-the Gil-Pelaez integral with 9 equally spaced breakpoints.  No integral
+the Gil-Pelaez integral with equal panels, at least 8 and more as the
+CF's phase turns faster near alpha = 2.  No integral
 here has an oscillatory tail: the joint CF is taken along a rotated ray
 where its integrand decays.
 ``euler_accelerated_sum`` (Euler summation of an alternating series)

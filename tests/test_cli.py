@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 from scipy import stats
 
+import gwi
 from gwi import limitlaw, process, tailproc
 from gwi.cli import (
     EXPERIMENTS,
@@ -155,14 +156,30 @@ _TINY = {
     "karamata": "",
 }
 
+# The health keys each experiment records.
+_HEALTH_KEYS = {
+    "simulate": {"init"},
+    "estimate": {"defined_fraction"},
+    "limit-sample": {"eps", "compensate", "trunc_v1_mean_bound",
+                     "trunc_v2_sd_bound", "mean_terms_used",
+                     "min_terms_used", "points"},
+    "cdf-table": {"tol", "cf_nodes", "cf_rule_error"},
+    "cf-table": {"tol", "cf_nodes", "cf_rule_error"},
+    "tail-validate": {"threshold", "n_events"},
+    "laplace-validate": {"level", "min_ess"},
+    "karamata": set(),
+}
+
 
 class TestRegistry:
     def test_commands_are_the_experiments(self):
-        assert set(_TINY) == set(EXPERIMENTS)
+        assert set(_TINY) == set(EXPERIMENTS) == set(_HEALTH_KEYS)
         assert set(main.commands) == set(EXPERIMENTS) | {"compare"}
 
     @pytest.mark.parametrize("name", list(_TINY))
     def test_every_experiment_runs(self, runner, tmp_path, name):
+        # one run record: the printed summary is the manifest's health
+        # plus paths, and the seed table holds the RNG keys [seed, b]
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(_TINY[name])
         out = tmp_path / "out"
@@ -171,11 +188,21 @@ class TestRegistry:
         summary = json.loads(res.output)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiment"] == name
+        assert manifest["config"] == {**parse_config(str(cfg)), "seed": 3}
+        assert manifest["build"] == f"gwi {gwi.__version__}"
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert set(manifest["health"]) == _HEALTH_KEYS[name]
+        outputs = summary.pop("outputs")
+        assert summary == {**manifest["health"],
+                           "manifest": str(out / "manifest.json")}
         assert manifest["outputs"]
-        assert sorted(summary["outputs"]) == sorted(
+        assert sorted(outputs) == sorted(
             str(out / f) for f in manifest["outputs"])
         for f, digest in manifest["outputs"].items():
             assert hashlib.sha256((out / f).read_bytes()).hexdigest() == digest
+        keys = manifest["seed_table"]
+        assert keys == [[3, b] for b in range(len(keys))]
+        assert (keys == []) == (name in ("cdf-table", "cf-table", "karamata"))
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(click.UsageError, match="'estimat'"):
@@ -374,17 +401,19 @@ class TestSimulate:
                                       abs=1e-12)
         assert xs[0] == meta["init"]
 
-    def test_manifest_checksums(self, runner, tmp_path):
+    def test_seed_key_reproduces_path(self, ref_model, runner, tmp_path):
         out = tmp_path / "sim"
         _run(runner, "simulate", "--seed", "5", "--out", str(out))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["experiment"] == "simulate"
-        assert manifest["seed_table"] == [5]
-        assert manifest["versions"]["numpy"] == np.__version__
-        assert "health" not in manifest
-        for name, digest in manifest["outputs"].items():
-            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
-            assert got == digest
+        meta = json.loads((out / "trajectory_meta.json").read_text())
+        [key] = manifest["seed_table"]
+        assert key == [5, 0]
+        rng = np.random.default_rng(key)
+        init = process.stationary_init_many(ref_model, 1, rng)[0]
+        assert init == meta["init"] == manifest["health"]["init"]
+        x = process.simulate(ref_model, meta["n"], init, rng)
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[1]) for r in rows] == x.tolist()
 
 
 class TestEstimate:
@@ -473,6 +502,18 @@ class TestTables:
         _run(runner, "karamata", "--out", str(out))
         rec = json.loads((out / "karamata.json").read_text())
         assert rec["empirical"] == pytest.approx(rec["analytic"], rel=0.01)
+
+
+class TestTailValidate:
+    def test_health_from_report(self, runner, tmp_path):
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text(_TINY["tail-validate"])
+        out = tmp_path / "tail"
+        _run(runner, "tail-validate", "--config", str(cfg), "--out", str(out))
+        report = json.loads((out / "tail_report.json").read_text())
+        health = json.loads((out / "manifest.json").read_text())["health"]
+        assert health == {"threshold": report["threshold"],
+                          "n_events": report["n_events"]}
 
 
 class TestLimitSample:

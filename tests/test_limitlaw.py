@@ -118,12 +118,43 @@ class TestCharacteristicFunctions:
         assert health["cf_nodes"] in limitlaw._RULE_NODES
         assert 0 < health["cf_rule_error"] <= limitlaw.CF_RULE_TOL
 
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+    def test_rule_matches_two_evaluation_loop(self, alpha):
+        got = limitlaw._cf_rule.__wrapped__(alpha)  # past the cache
+        want = _two_evaluation_rule(alpha)
+        assert (got.n, got.error, got.margin) == \
+            (want.n, want.error, want.margin)
+        for name in ("c2", "c3", "w"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_rule_failure_names_last_pass(self, monkeypatch):
+        monkeypatch.setattr(limitlaw, "CF_RULE_TOL", 0.0)
+        with pytest.raises(QuadratureError, match="320 nodes differ from 640"):
+            limitlaw._cf_rule.__wrapped__(1.5)
+
     def test_dependence_gap(self):
         p = LimitParams(1.5, 0.5, 0.25)
         m1, m2 = cf_marginals(p, 1.0, 1.0)
         gap = abs(cf_joint(p, 1.0, 1.0) - m1 * m2)
         assert gap == pytest.approx(DEP_GAP_ORACLE, abs=1e-6)
         assert gap > 1e-3
+
+
+def _two_evaluation_rule(alpha):
+    """The certification loop that evaluated both the n- and the 2n-node
+    rule on every pass, kept as the oracle of ``limitlaw._cf_rule``."""
+    edge = np.linspace(0.0, 1.0, limitlaw._CERT_POINTS)
+    a = np.concatenate([np.ones_like(edge), edge])
+    b = np.concatenate([edge, np.ones_like(edge)])
+    for n in limitlaw._RULE_NODES:
+        fine = limitlaw._normalised_exponent(
+            limitlaw._ray_rule(alpha, 2 * n), a, b)
+        rule = limitlaw._ray_rule(alpha, n)
+        err = float(np.max(np.abs(
+            limitlaw._normalised_exponent(rule, a, b) - fine)))
+        if err <= limitlaw.CF_RULE_TOL:
+            return rule._replace(error=err, margin=np.min(-fine.real) - err)
+    raise AssertionError(f"no rule certified at alpha = {alpha}")
 
 
 def _series_points(p, eps, size, rng):
@@ -328,6 +359,29 @@ class TestCdfRatio:
         v = cdf_ratio(LimitParams(*params), x)
         assert 0.0 <= v <= 1.0
         assert (v > 0.5) == (x > 0)
+
+    @pytest.mark.parametrize("alpha", [1.95, 1.99])
+    def test_near_two_within_tol(self, alpha):
+        # eight seed panels would hold about 23 and 114 phase cycles of
+        # phi each here, enough for K15 and G7 to agree on a wrong value
+        p = LimitParams(alpha, 0.5, 0.5)
+        for x in (0.5, 1.0, 3.0, 10.0):
+            assert cdf_ratio(p, x) == pytest.approx(
+                cdf_ratio(p, x, tol=1e-8), abs=1e-4)
+
+    def test_seed_panels_follow_phase(self, monkeypatch):
+        # about five phase cycles per panel, and 8 panels up to alpha 1.77
+        seen = []
+        gauss_kronrod = limitlaw.gauss_kronrod
+
+        def spy(f, breaks, tol):
+            seen.append(len(breaks) - 1)
+            return gauss_kronrod(f, breaks, tol)
+
+        monkeypatch.setattr(limitlaw, "gauss_kronrod", spy)
+        for alpha in (1.5, 1.77, 1.78, 1.99):
+            cdf_ratio(LimitParams(alpha, 0.5, 0.5), 1.0)
+        assert seen == [8, 8, 9, 183]
 
     def test_unreachable_tol_raises(self, ref_limit):
         with pytest.raises(QuadratureError, match="CF rule"):
