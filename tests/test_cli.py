@@ -415,6 +415,18 @@ class TestSimulate:
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[1]) for r in rows] == x.tolist()
 
+    def test_manifest_checksums(self, runner, tmp_path):
+        out = tmp_path / "sim"
+        _run(runner, "simulate", "--seed", "5", "--out", str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["experiment"] == "simulate"
+        assert manifest["seed_table"] == [[5, 0]]
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert set(manifest["health"]) == {"init"}
+        for name, digest in manifest["outputs"].items():
+            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert got == digest
+
 
 class TestEstimate:
     def test_rerun_byte_identical(self, runner, tmp_path):
