@@ -41,6 +41,7 @@ row = cls_estimate(params, x)
 print(f"\nCLS estimate mu_hat = {row['mu_hat']:.6f} (true {params.mu_A})")
 print(f"scaling value a_n = {row['a_n']:.2f}; scaled error "
       f"sqrt(a_n)*(mu_hat - mu_A) = {row['scaled_error']:.4f}")
-print(f"normalised sums (V_n^1, V_n^2) = ({row['v1']:.4f}, {row['v2']:.4f})")
+print(f"normalised sums (V_n^1, V_n^2) = ({row['v1']:.4f}, {row['v2']:.4f});"
+      f" V_n^2/V_n^1 = {row['v2'] / row['v1']:.4f}, the scaled error again")
 print("the scaled error converges to the ratio V2/V1 of a dependent "
       "stable pair, not to a normal law")

@@ -86,10 +86,11 @@ def parse_config(path: str | None) -> dict:
     ``compensate`` is true/false/1/0/yes/no, in any case; ``offspring``
     is bernoulli, poisson or geometric; ``s_values`` and ``t_values``
     are non-empty lists of comma-separated finite floats.
-    ``laplace-validate`` rejects a negative ``s_values`` entry and an
-    ``eps`` and ``n`` whose level a_n*eps is below 1, and
+    ``laplace-validate`` rejects a negative ``s_values`` entry, ``reps``
+    below 2 and an ``eps`` and ``n`` whose level a_n*eps is below 1, and
     ``tail-validate`` an ``n``, ``chains`` and ``quantile`` that leave
-    fewer than ``tailproc.MIN_EVENTS`` values above the quantile.
+    fewer than ``tailproc.MIN_EVENTS`` values above the quantile, before
+    the run or, when path values tie at the threshold, after it.
     """
     cfg = dict(_DEFAULTS)
     if path:
@@ -267,8 +268,13 @@ def _tail_validate(cfg, out_dir, workers):
     params = _model(cfg)
     paths = tailproc.run_stationary_batch(
         params, cfg["n"], cfg["chains"], [cfg["seed"], 0])
-    report = tailproc.validate_pseudo_tail(
-        params, paths, quantile=cfg["quantile"])
+    try:
+        report = tailproc.validate_pseudo_tail(
+            params, paths, quantile=cfg["quantile"])
+    except ValueError as exc:  # path values tied at the threshold
+        raise click.UsageError(
+            f"config keys 'n', 'chains' and 'quantile' gave too few "
+            f"exceedances for tail-validate ({exc})") from None
     path = _write_json(out_dir / "tail_report.json", {
         "statistic": "pseudo-tail conditional laws",
         **dataclasses.asdict(report),
@@ -284,6 +290,9 @@ def _laplace_validate(cfg, out_dir, workers):
     if min(s_values) < 0.0:
         raise click.UsageError("config key 's_values' must be >= 0 for "
                                f"laplace-validate, got {cfg['s_values']!r}")
+    if cfg["reps"] < 2:  # the stderr of the gap needs two chains
+        raise click.UsageError("config key 'reps' must be >= 2 for "
+                               f"laplace-validate, got {cfg['reps']}")
     params = _model(cfg)
     a_n = process.scaling(params, cfg["n"])
     level = a_n * cfg["eps"]

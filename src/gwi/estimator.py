@@ -6,14 +6,18 @@ path X_0..X_n is
     mu_hat = sum_{i=1}^n X_{i-1} (X_i - mu_B) / sum_{i=1}^n X_{i-1}^2,
 
 undefined on the (exponentially rare) event that the denominator
-vanishes.  The estimation error obeys
-mu_hat - mu_A = sum X_{i-1} M_i / sum X_{i-1}^2, and sqrt(a_n) times it
-converges to the ratio of a dependent stable pair; the normalised
-partial sums (V_n^1, V_n^2) = (a_n^-2 sum X_j^2, a_n^-3/2 sum X_j M_{j+1})
-are the two coordinates.
+vanishes.  The estimation error is exactly
+mu_hat - mu_A = sum X_{i-1} M_i / sum X_{i-1}^2, so sqrt(a_n) times it is
+the ratio V_n^2 / V_n^1 of the normalised partial sums
 
-One reducer, ``_cls_reducer``, forms these sums in time order over
-time-major (T+1, chains) blocks.  The replication farm starts its
+    (V_n^1, V_n^2) = (a_n^-2 sum X_{i-1}^2, a_n^-3/2 sum X_{i-1} M_i),
+
+both over the estimator's window i = 1..n, whose joint limit is the
+dependent (alpha/2, 2 alpha/3)-stable pair.
+
+One reducer, ``_cls_reducer``, forms the two sums in time order over
+time-major (T+1, chains) blocks; every column of a row is a closed form
+of them.  The replication farm starts its
 chains from ``stationary_init_many`` and hands the reducer the windows
 of ``simulate_batch`` as they are; ``cls_estimate`` feeds it
 the transpose of a given path or bundle of paths in one call.  Both
@@ -75,29 +79,27 @@ def _cls_reducer(params: ModelParams, width: int):
 
     ``reduce(block)`` takes successive (T+1, width) blocks whose row 0 is
     the previous block's last state (X_0 for the first block), as
-    ``simulate_batch`` hands them over.  The estimator sums run over the
-    window i = 1..n, the pair sums over the shifted window j = 1..n-1.
+    ``simulate_batch`` hands them over.  ``sums`` is (2, width): the
+    sums over i = 1..n of X_{i-1}^2 and of X_{i-1} M_i.
     """
     mu_A, mu_B = params.mu_A, params.mu_B
-    # num, den, sum_{j=1..n-1} X_j^2, sum_{j=1..n-1} X_j M_{j+1}
-    sums = np.zeros((4, width))
-    first = True
+    sums = np.zeros((2, width))
 
     def reduce(block):
         # Row i of ``terms`` holds the step-i terms, row 0 the running
         # sums; summing over the outer axis adds them in time order.
-        nonlocal first
+        # Formed in place: with block-sized temporaries as well, malloc
+        # gave its heap back and refaulted it on every call (about a
+        # thousand page faults per call at width 250).
         f = block.astype(np.float64)
         prev, cur = f[:-1], f[1:]
-        terms = np.empty((len(f), 4, width))
+        terms = np.empty((len(f), 2, width))
         terms[0] = sums
-        terms[1:, 0] = prev * (cur - mu_B)
-        terms[1:, 1] = prev * prev
-        terms[1:, 2] = terms[1:, 1]
-        terms[1:, 3] = prev * (cur - mu_A * prev - mu_B)
-        if first:  # the shifted window leaves out X_0
-            terms[1, 2:] = 0.0
-            first = False
+        np.multiply(prev, prev, out=terms[1:, 0])
+        xm = np.multiply(prev, mu_A, out=terms[1:, 1])
+        np.subtract(cur, xm, out=xm)
+        xm -= mu_B
+        xm *= prev
         terms.sum(axis=0, out=sums)
 
     return sums, reduce
@@ -106,25 +108,26 @@ def _cls_reducer(params: ModelParams, width: int):
 def _rows(params: ModelParams, n: int, sums: np.ndarray) -> np.ndarray:
     """``REPLICATION_FIELDS`` rows, numbered from 0, from reduced sums.
 
-    ``scaled_error`` is sqrt(a_n) * (mu_hat - mu_A) computed from the
-    rounded mu_hat, so it can be recomputed exactly from the written
-    ``mu_hat`` column.  The exact identity mu_hat - mu_A =
-    sum X_{i-1} M_i / sum X_{i-1}^2 would keep more digits on rows with
-    mu_hat near mu_A, but would differ from that recomputation by up to
-    about 1e-9 relative.
+    With den = sum X_{i-1}^2 and xm = sum X_{i-1} M_i, mu_hat is
+    mu_A + xm/den, v1 = den/a_n^2 and v2 = xm/a_n^1.5, so v2/v1 is the
+    scaled error.  ``scaled_error`` is sqrt(a_n) * (mu_hat - mu_A)
+    computed from the rounded mu_hat, so it can be recomputed exactly
+    from the written ``mu_hat`` column; it differs from v2/v1 by about
+    sqrt(a_n) ulps of mu_hat.
     """
     a_n = scaling(params, n)
-    num, den, s_x2, s_xm = sums
+    den, xm = sums
     defined = den > 0
-    mu_hat = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
-    out = np.zeros(len(num), dtype=REPLICATION_FIELDS)
-    out["rep"] = np.arange(len(num))
+    mu_hat = np.where(
+        defined, params.mu_A + xm / np.where(defined, den, 1.0), np.nan)
+    out = np.zeros(len(den), dtype=REPLICATION_FIELDS)
+    out["rep"] = np.arange(len(den))
     out["n"] = n
     out["a_n"] = a_n
     out["mu_hat"] = mu_hat
     out["defined"] = defined
-    out["v1"] = s_x2 / a_n**2
-    out["v2"] = s_xm / a_n**1.5
+    out["v1"] = den / a_n**2
+    out["v2"] = xm / a_n**1.5
     out["scaled_error"] = np.where(
         defined, math.sqrt(a_n) * (mu_hat - params.mu_A), np.nan)
     return out
@@ -171,7 +174,7 @@ def replication_experiment(
     """Replicated CLS runs on stationary paths.
 
     Returns a structured array with one row per replication holding the
-    estimate, the normalised partial sums over the shifted window, and
+    estimate, the normalised partial sums (v1, v2) over its window, and
     the scaled error sqrt(a_n)*(mu_hat - mu_A).  Deterministic in
     (params, n, reps, seed) and invariant to ``workers``: each block
     draws from its own stream, and ``map`` returns the blocks in order.

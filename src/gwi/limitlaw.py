@@ -319,18 +319,27 @@ def cf_log(p: LimitParams, s, t):
     cf(a^{2/alpha} s, a^{3/(2 alpha)} t) = exp(a * cf_log(s, t))
     directly checkable.  With L = max(|st|^{1/2}, tt^{1/3}),
     J(st, tt) = L^alpha J(st/L^2, tt/L^3) lies on the normalised set, and
-    J(-st, tt) = conj J(st, tt).  ``s`` and ``t`` broadcast; scalars give
+    J(-st, tt) = conj J(st, tt).  L and the normalised point are formed
+    from |s|^{1/2} and |t|^{2/3}, so no finite (s, t) overflows or
+    underflows them; where theta*L^alpha*J leaves the float range the
+    value is -inf (phi = 0).  ``s`` and ``t`` broadcast; scalars give
     a complex scalar.
     """
     m = p.mu_A
-    st = np.asarray(s, dtype=np.float64) / (1.0 - m**2)
-    tt = p.sigma_A2 * np.square(t, dtype=np.float64) / (2.0 * (1.0 - m**3))
-    st, tt = np.broadcast_arrays(st, tt)
-    big = np.maximum(np.sqrt(np.abs(st)), np.cbrt(tt))
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
+                               np.asarray(t, dtype=np.float64))
+    root2 = np.sqrt(np.abs(s)) / math.sqrt(1.0 - m**2)  # |st|^{1/2}
+    root3 = np.cbrt(np.abs(t)) ** 2 \
+        * np.cbrt(p.sigma_A2 / (2.0 * (1.0 - m**3)))  # tt^{1/3}
+    big = np.maximum(root2, root3)
     safe = np.where(big > 0.0, big, 1.0)  # J(0, 0) = 0 either way
-    jn = _normalised_exponent(_cf_rule(p.alpha), np.abs(st / safe**2).ravel(),
-                              (tt / safe**3).ravel()).reshape(st.shape)
-    return p.theta * (big**p.alpha * np.where(st < 0.0, np.conj(jn), jn))
+    jn = _normalised_exponent(_cf_rule(p.alpha), ((root2 / safe) ** 2).ravel(),
+                              ((root3 / safe) ** 3).ravel()).reshape(s.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_phi = p.theta * (big**p.alpha * np.where(s < 0.0, np.conj(jn), jn))
+    # a part is non-finite only past the float range, where Re J < 0
+    # makes Re log phi = -inf: phi = 0
+    return np.where(np.isfinite(log_phi), log_phi, -np.inf)[()]
 
 
 def cf_joint(p: LimitParams, s, t):

@@ -187,8 +187,11 @@ def validate_pseudo_tail(
     x = np.asarray(paths)
     threshold = float(np.quantile(x.ravel(), quantile))
     hit = x[:, :-1] > threshold
-    if int(hit.sum()) < MIN_EVENTS:
-        raise ValueError("insufficient conditioning events")
+    found = int(hit.sum())
+    if found < MIN_EVENTS:
+        raise ValueError(f"insufficient conditioning events: {found} lie "
+                         f"above the threshold {threshold:g}, fewer than "
+                         f"MIN_EVENTS = {MIN_EVENTS}")
     x0 = x[:, :-1][hit].astype(np.float64)
     x1 = x[:, 1:][hit].astype(np.float64)
     m1 = x1 - params.mu_A * x0 - params.mu_B

@@ -243,6 +243,35 @@ class TestRegistry:
         assert "'n'" in result.output and "'chains'" in result.output
         assert seen == [] and not out.exists()
 
+    def test_tail_validate_tie_shortfall_is_usage_error(self, runner,
+                                                          tmp_path):
+        # the pre-check allows 1001.5 values above the 0.995-quantile, but
+        # path values tie at the threshold 21: only 991 lie above it
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text("n = 200000\nchains = 100\nquantile = 0.995\n")
+        out = tmp_path / "runs" / "tail"
+        result = runner.invoke(main, ["tail-validate", "--config", str(cfg),
+                                      "--seed", "0", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        for word in ("'n'", "'chains'", "'quantile'", "991", "threshold 21",
+                     f"{tailproc.MIN_EVENTS}"):
+            assert word in result.output
+        assert not (tmp_path / "runs").exists()
+
+    def test_laplace_rejects_one_rep(self, runner, tmp_path, monkeypatch):
+        # the gap's stderr uses ddof = 1, so one chain would write NaN
+        seen = []
+        monkeypatch.setattr(tailproc, "stationary_init_many",
+                            lambda *args: seen.append(args))
+        cfg = tmp_path / "lap.cfg"
+        cfg.write_text("n = 2000\nreps = 1\neps = 1\n")
+        out = tmp_path / "lap"
+        result = runner.invoke(main, ["laplace-validate", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "'reps'" in result.output
+        assert seen == [] and not out.exists()
+
     def test_laplace_rejects_negative_s(self, runner, tmp_path, monkeypatch):
         # the functional is defined for f = s*1{x > eps} >= 0 only
         seen = []
@@ -459,6 +488,19 @@ class TestEstimate:
         rows = (out / "replications.csv").read_text().splitlines()
         assert rows[0] == "rep,n,a_n,mu_hat,defined,v1,v2,scaled_error"
         assert len(rows) == 26
+
+    def test_pair_ratio_is_scaled_error(self, runner, tmp_path):
+        # v2/v1 equals the scaled error after the %.17g round trip
+        out = tmp_path / "est"
+        cfg = tmp_path / "est.cfg"
+        cfg.write_text("n=200\nreps=60\n")
+        _run(runner, "estimate", "--config", str(cfg), "--out", str(out))
+        rows = np.loadtxt(out / "replications.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        v1, v2, err = rows[:, 5:].T
+        d = rows[:, 4] == 1
+        assert d.any()
+        assert np.allclose(v2[d] / v1[d], err[d], rtol=0, atol=1e-12)
 
     def test_manifest_health(self, runner, tmp_path):
         # the defined fraction is health, not a column

@@ -24,22 +24,20 @@ _EPS = np.finfo(np.float64).eps
 def _oracle_terms(params, x):
     """Per-step terms of the CLS sums of one path, as float64 arrays.
 
-    num and den run over i = 1..n; x2 and xm over the shifted window
-    j = 1..n-1 (X_j^2 and X_j M_{j+1}).
+    Both run over the estimator's window i = 1..n: den holds X_{i-1}^2
+    and xm holds X_{i-1} M_i.
     """
     x = np.asarray(x, dtype=np.float64)
-    prev, cur = x[:-1], x[1:]
-    xj = prev[1:]
-    return {"num": prev * (cur - params.mu_B), "den": prev * prev,
-            "x2": xj * xj, "xm": xj * residuals(params, x)[1:]}
+    prev = x[:-1]
+    return {"den": prev * prev, "xm": prev * residuals(params, x)}
 
 
 def _oracle(params, x):
     """Reference (mu_hat, v1, v2) of one path by exact (fsum) summation."""
     t = {k: math.fsum(v) for k, v in _oracle_terms(params, x).items()}
     a_n = scaling(params, len(x) - 1)
-    mu_hat = t["num"] / t["den"] if t["den"] > 0 else math.nan
-    return mu_hat, t["x2"] / a_n**2, t["xm"] / a_n**1.5
+    mu_hat = params.mu_A + t["xm"] / t["den"] if t["den"] > 0 else math.nan
+    return mu_hat, t["den"] / a_n**2, t["xm"] / a_n**1.5
 
 
 class TestClsEstimate:
@@ -50,9 +48,10 @@ class TestClsEstimate:
         assert row["defined"] and row["n"] == 2 and row["a_n"] == a_n
         # num = 1*(2 - mu_B) + 2*(1 - mu_B), den = 1 + 4
         assert row["mu_hat"] == pytest.approx((4 - 3 * mu_B) / 5)
-        # the shifted window holds j = 1 only: X_1 = 2, M_2 = 1 - 2 mu_A - mu_B
-        assert row["v1"] == pytest.approx(4 / a_n**2)
-        assert row["v2"] == pytest.approx(2 * (1 - 2 * mu_A - mu_B) / a_n**1.5)
+        # i = 1, 2: X_0 = 1, M_1 = 2 - mu_A - mu_B; X_1 = 2, M_2 = 1 - 2 mu_A - mu_B
+        assert row["v1"] == pytest.approx(5 / a_n**2)
+        assert row["v2"] == pytest.approx(
+            ((2 - mu_A - mu_B) + 2 * (1 - 2 * mu_A - mu_B)) / a_n**1.5)
 
     def test_all_zero_undefined(self, ref_model):
         row = cls_estimate(ref_model, [0, 0, 0])
@@ -91,7 +90,8 @@ class TestClsEstimate:
             # recursive summation of k terms is off by at most
             # (k-1) eps sum|t| (Higham, Accuracy and Stability, 4.2); the
             # terms are formed as the oracle forms them, and each division
-            # adds at most one rounding of the result
+            # adds at most one rounding of the result; mu_hat = mu_A +
+            # xm/den adds the rounding of the quotient and of the sum
             terms = _oracle_terms(ref_model, x)
             mu_hat, v1, v2 = _oracle(ref_model, x)
             a_n = row["a_n"]
@@ -102,8 +102,10 @@ class TestClsEstimate:
                 bound["xm"] / a_n**1.5 + 2 * _EPS * abs(v2)
             assert row["defined"] == (terms["den"].sum() > 0)
             if row["defined"]:
-                assert abs(row["mu_hat"] - mu_hat) <= \
-                    bound["num"] / terms["den"].sum() + 2 * _EPS * abs(mu_hat)
+                den = terms["den"].sum()
+                ratio = mu_hat - ref_model.mu_A
+                assert abs(row["mu_hat"] - mu_hat) <= bound["xm"] / den \
+                    + 2 * _EPS * abs(ratio) + _EPS * abs(mu_hat)
 
 
 class TestPartialSums:
@@ -125,7 +127,7 @@ class TestPartialSums:
         x = simulate(ref_model, 300, 1, rng)
         a_n = scaling(ref_model, 300)
         # the integer sum is exact in float64, so v1 is its one rounding
-        exact = sum(int(v) ** 2 for v in x[1:-1])
+        exact = sum(int(v) ** 2 for v in x[:-1])
         assert cls_estimate(ref_model, x)["v1"] == exact / a_n**2
 
     def test_validates_inputs(self, ref_model):
@@ -149,14 +151,17 @@ class TestScaledError:
         assert math.isnan(rows["scaled_error"][0])
         assert np.isfinite(rows["scaled_error"][1])
 
-    def test_ratio_identity_on_shifted_window(self, ref_model, rng):
-        # CLS on the shifted path X_1..X_n equals v2/v1 from the pair sums
-        x = simulate(ref_model, 400, 3, rng)
-        pair = cls_estimate(ref_model, x)
-        shifted = cls_estimate(ref_model, x[1:])
-        a_n = pair["a_n"]
-        lhs = math.sqrt(a_n) * (shifted["mu_hat"] - ref_model.mu_A)
-        assert lhs == pytest.approx(pair["v2"] / pair["v1"], rel=1e-10)
+    def test_pair_ratio_is_scaled_error(self, ref_model, rng):
+        # v2/v1 = sqrt(a_n) xm/den is the scaled error of the same path,
+        # in cls_estimate and in the farm (rows 0-249 and 250-299 come
+        # from two blocks)
+        paths = [simulate(ref_model, 400, 3, rng) for _ in range(5)]
+        farm = replication_experiment(ref_model, 400, 300, seed=4)
+        for rows in (cls_estimate(ref_model, np.array(paths)), farm):
+            d = rows["defined"]
+            assert d.any()
+            assert np.allclose(rows["v2"][d] / rows["v1"][d],
+                               rows["scaled_error"][d], rtol=0, atol=1e-12)
 
 
 class TestReplicationExperiment:

@@ -113,6 +113,46 @@ class TestCharacteristicFunctions:
         assert cf_joint(p, s, 0.0) == pytest.approx(
             cf_marginals(p, s, 0.0)[0], rel=1e-9)
 
+    def test_finite_at_float_extremes(self):
+        # t^2 overflows past |t| ~ 1e154 and L^3 underflows below
+        # L ~ 1e-108; phi stays finite with |phi| <= 1 at both ends
+        vals = [0.0, 5e-324, 1e-300, 1.0, 1e200, 1e300]
+        vals += [-v for v in vals[1:]]
+        s, t = np.meshgrid(vals, vals)
+        for p in (LimitParams(1.5, 0.5, 0.5), LimitParams(1.99, 0.99, 1.98),
+                  LimitParams(1.01, 0.01, 0.01)):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                phi = cf_joint(p, s, t)
+            assert np.isfinite(phi).all() and (np.abs(phi) <= 1.0).all()
+
+    def test_extreme_values(self, ref_limit):
+        assert cf_joint(ref_limit, 1e-300, 1e-300) == pytest.approx(1.0)
+        # |phi| <= exp(-C2 |t|^{2 alpha/3}) = 0 in floating point
+        assert cf_joint(ref_limit, 1.0, 1e200) == 0.0
+        # the V2 axis in closed form, and past the float range
+        assert cf_log(ref_limit, 0.0, 1e200) == pytest.approx(
+            -ref_limit.C2 * 1e200 ** (2 * ref_limit.alpha / 3), rel=1e-9)
+        assert cf_log(LimitParams(1.99, 0.5, 0.5), 0.0, 1e300) == -np.inf
+
+    def test_moderate_values_within_ulps(self):
+        # the normalised point formed from st and tt directly, which is
+        # finite in this range, agrees with cf_log to a few ulps
+        rng = np.random.default_rng(3)
+        s = rng.choice([-1.0, 1.0], 4000) * 10 ** rng.uniform(-30, 30, 4000)
+        t = rng.choice([-1.0, 1.0], 4000) * 10 ** rng.uniform(-30, 30, 4000)
+        s[:100], t[100:200] = 0.0, 0.0
+        for p in (LimitParams(1.5, 0.5, 0.5), LimitParams(1.99, 0.99, 1.98)):
+            m = p.mu_A
+            st = s / (1.0 - m**2)
+            tt = p.sigma_A2 * t**2 / (2.0 * (1.0 - m**3))
+            big = np.maximum(np.sqrt(np.abs(st)), np.cbrt(tt))
+            safe = np.where(big > 0.0, big, 1.0)
+            jn = limitlaw._normalised_exponent(
+                limitlaw._cf_rule(p.alpha), np.abs(st / safe**2), tt / safe**3)
+            want = p.theta * big**p.alpha * np.where(st < 0, np.conj(jn), jn)
+            assert np.all(np.abs(cf_log(p, s, t) - want)
+                          <= 8 * np.finfo(float).eps * np.abs(want))
+
     def test_rule_health(self, ref_limit):
         health = cf_rule_health(ref_limit)
         assert health["cf_nodes"] in limitlaw._RULE_NODES

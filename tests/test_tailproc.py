@@ -238,6 +238,15 @@ class TestValidators:
             # at most 1.04 of the 400020 values lie above this quantile
             validate_pseudo_tail(ref_model, paths, quantile=1.0 - 1e-7)
 
+    def test_insufficient_events_message(self, ref_model):
+        # 1001 values of 1100 tie at the quantile: none lies above it
+        paths = np.zeros((100, 11), dtype=np.int64)
+        paths.flat[:1001] = 7
+        with pytest.raises(ValueError) as exc:
+            validate_pseudo_tail(ref_model, paths, quantile=0.5)
+        for word in ("0 lie", "threshold 7", f"{tailproc.MIN_EVENTS}"):
+            assert word in str(exc.value)
+
     def test_laplace_gap_structure(self, ref_model):
         out = laplace_functional_gap(ref_model, 0.5, [0.5, 1.0],
                                      n=2000, reps=400, seed=7)
