@@ -48,8 +48,6 @@ _DEFAULTS = {
     "x_points": 101,
     "s_values": "0.5,1,2",
     "t_values": "0.5,1,2",
-    "beta": 3.0,
-    "x": 1000.0,
 }
 
 # Open intervals (lo, hi) the float keys must lie in, and the least
@@ -57,7 +55,6 @@ _DEFAULTS = {
 _OPEN_RANGES = {
     "alpha": (1.0, 2.0), "mu_A": (0.0, 1.0), "c": (0.0, 1.0),
     "eps": (0.0, math.inf), "quantile": (0.0, 1.0),
-    "x": (1.0, math.inf), "beta": (-math.inf, math.inf),
     "x_min": (-math.inf, math.inf), "x_max": (-math.inf, math.inf),
 }
 _INT_MINIMA = {"n": 1, "reps": 1, "x_points": 1, "chains": 1, "seed": 0}
@@ -188,18 +185,16 @@ def _simulate(cfg, out_dir, workers):
     """One stationary path with its residuals (trajectory.csv)."""
     params = _model(cfg)
     seed = cfg["seed"]
-    rng = np.random.default_rng([seed, 0])
-    init = process.stationary_init_many(params, 1, rng)[0]
-    x = process.simulate(params, cfg["n"], init, rng)
+    x = process.run_blocks(params, cfg["n"], 1, seed)[0]
     m = process.residuals(params, x)
     path = _write_trajectory(out_dir / "trajectory.csv", x, m)
     meta = _write_json(out_dir / "trajectory_meta.json", {
         "alpha": cfg["alpha"], "mu_A": cfg["mu_A"], "c": cfg["c"],
         "offspring": cfg["offspring"], "mu_B": params.mu_B,
-        "n": cfg["n"], "seed": seed, "init": int(init),
+        "n": cfg["n"], "seed": seed, "init": int(x[0]),
         "init_mode": "stationary-series",
     })
-    return [path, meta], [[seed, 0]], {"init": int(init)}
+    return [path, meta], process.block_keys(1, seed), {"init": int(x[0])}
 
 
 def _estimate(cfg, out_dir, workers):
@@ -208,7 +203,7 @@ def _estimate(cfg, out_dir, workers):
         _model(cfg), cfg["n"], cfg["reps"], cfg["seed"], workers=workers)
     path = write_csv(out_dir / "replications.csv", table.dtype.names,
                      [table[k] for k in table.dtype.names])
-    return ([path], estimator.replication_seeds(cfg["reps"], cfg["seed"]),
+    return ([path], process.block_keys(cfg["reps"], cfg["seed"]),
             {"defined_fraction": float(np.mean(table["defined"]))})
 
 
@@ -267,7 +262,7 @@ def _tail_validate(cfg, out_dir, workers):
             f"{tailproc.MIN_EVENTS} events tail-validate needs")
     params = _model(cfg)
     paths = tailproc.run_stationary_batch(
-        params, cfg["n"], cfg["chains"], [cfg["seed"], 0])
+        params, cfg["n"], cfg["chains"], cfg["seed"], workers=workers)
     try:
         report = tailproc.validate_pseudo_tail(
             params, paths, quantile=cfg["quantile"])
@@ -280,8 +275,9 @@ def _tail_validate(cfg, out_dir, workers):
         **dataclasses.asdict(report),
         "analytic": {"mean_ratio": params.mu_A},
     })
-    return [path], [[cfg["seed"], 0]], {"threshold": report.threshold,
-                                        "n_events": report.n_events}
+    keys = process.block_keys(cfg["chains"], cfg["seed"])
+    return [path], keys, {"threshold": report.threshold,
+                          "n_events": report.n_events}
 
 
 def _laplace_validate(cfg, out_dir, workers):
@@ -302,7 +298,8 @@ def _laplace_validate(cfg, out_dir, workers):
             f"config keys 'eps' and 'n' put the exceedance level a_n*eps at "
             f"{level:.4g}; laplace-validate needs at least 1")
     report = tailproc.laplace_functional_gap(
-        params, cfg["eps"], s_values, cfg["n"], cfg["reps"], [cfg["seed"], 0])
+        params, cfg["eps"], s_values, cfg["n"], cfg["reps"], cfg["seed"],
+        workers=workers)
     path = _write_json(out_dir / "laplace_report.json", {
         "statistic": "exceedance Laplace functional",
         "eps": cfg["eps"], "n": cfg["n"], "a_n": a_n, "reps": cfg["reps"],
@@ -310,19 +307,7 @@ def _laplace_validate(cfg, out_dir, workers):
     })
     health = {"level": level,
               "min_ess": min(rec["ess"] for rec in report.values())}
-    return [path], [[cfg["seed"], 0]], health
-
-
-def _karamata(cfg, out_dir, workers):
-    """Truncated-moment tail ratio of the exact Pareto law vs its limit."""
-    alpha, beta, x = cfg["alpha"], cfg["beta"], cfg["x"]
-    path = _write_json(out_dir / "karamata.json", {
-        "statistic": "truncated-moment tail ratio (exact Pareto)",
-        "alpha": alpha, "beta": beta, "x": x,
-        "empirical": dist.karamata_ratio(beta, alpha, x),
-        "analytic": dist.karamata_limit(beta, alpha),
-    })
-    return [path], [], {}
+    return [path], process.block_keys(cfg["reps"], cfg["seed"]), health
 
 
 EXPERIMENTS = {
@@ -333,7 +318,6 @@ EXPERIMENTS = {
     "cf-table": _cf_table,
     "tail-validate": _tail_validate,
     "laplace-validate": _laplace_validate,
-    "karamata": _karamata,
 }
 
 

@@ -53,11 +53,6 @@ class ImmigrationLaw:
         # mu_B = c * sum_{k>=1} k^(-alpha) = c * zeta(alpha)
         object.__setattr__(self, "mu_B", self.c * float(zeta(self.alpha)))
 
-    def survival(self, k):
-        """P(B >= k) for integer k >= 0 (vectorised)."""
-        k = np.asarray(k, dtype=np.float64)
-        return np.where(k <= 0, 1.0, self.c * np.maximum(k, 1.0) ** -self.alpha)
-
 
 @dataclass(frozen=True)
 class OffspringLaw:

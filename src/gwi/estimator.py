@@ -17,37 +17,28 @@ dependent (alpha/2, 2 alpha/3)-stable pair.
 
 One reducer, ``_cls_reducer``, forms the two sums in time order over
 time-major (T+1, chains) blocks; every column of a row is a closed form
-of them.  The replication farm starts its
-chains from ``stationary_init_many`` and hands the reducer the windows
-of ``simulate_batch`` as they are; ``cls_estimate`` feeds it
-the transpose of a given path or bundle of paths in one call.  Both
-return rows of ``REPLICATION_FIELDS``.
+of them.  ``replication_experiment`` hands it the windows of
+``process.run_blocks``, the block farm of stationary chains;
+``cls_estimate`` feeds it the transpose of a given path or bundle of
+paths in one call.  Both return rows of ``REPLICATION_FIELDS``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
-from .process import (
-    ModelParams,
-    scaling,
-    simulate_batch,
-    stationary_init_many,
-    step_batch,  # noqa: F401  (perfbench/spans.py patches it by this name)
-)
+from .process import ModelParams, run_blocks, scaling
+# perfbench/spans.py patches these by name; nothing here calls them
+from .process import stationary_init_many, step_batch  # noqa: F401
 
 __all__ = [
     "cls_estimate",
     "replication_experiment",
-    "replication_seeds",
     "REPLICATION_FIELDS",
 ]
-
-_BLOCK = 250
-
 
 # ---------------------------------------------------------------------------
 # replication farm
@@ -62,16 +53,6 @@ REPLICATION_FIELDS = [
     ("v2", np.float64),
     ("scaled_error", np.float64),
 ]
-
-
-def replication_seeds(reps: int, seed: int) -> list[list[int]]:
-    """RNG keys [seed, b] of the replication blocks, one per _BLOCK reps.
-
-    Block b holds replications b*_BLOCK onward and draws from its own
-    stream ``default_rng([seed, b])``, so results do not depend on how
-    blocks are distributed over workers.
-    """
-    return [[seed, b] for b in range(-(-reps // _BLOCK))]
 
 
 def _cls_reducer(params: ModelParams, width: int):
@@ -151,19 +132,6 @@ def cls_estimate(params: ModelParams, x) -> np.ndarray:
     return rows[0] if x.ndim == 1 else rows
 
 
-def _run_block(args):
-    """Simulate one block of replications as a vectorised chain bundle,
-    reducing the path block by block into the CLS rows."""
-    params, n, key, width = args
-    rng = np.random.default_rng(key)
-    x = stationary_init_many(params, width, rng)
-    sums, reduce = _cls_reducer(params, width)
-    simulate_batch(params, n, x, rng, reduce=reduce)
-    out = _rows(params, n, sums)
-    out["rep"] += key[1] * _BLOCK
-    return out
-
-
 def replication_experiment(
     params: ModelParams,
     n: int,
@@ -176,14 +144,9 @@ def replication_experiment(
     Returns a structured array with one row per replication holding the
     estimate, the normalised partial sums (v1, v2) over its window, and
     the scaled error sqrt(a_n)*(mu_hat - mu_A).  Deterministic in
-    (params, n, reps, seed) and invariant to ``workers``: each block
-    draws from its own stream, and ``map`` returns the blocks in order.
+    (params, n, reps, seed) and invariant to ``workers``: the chains
+    run on ``run_blocks``, each block of them on its own stream.
     """
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    blocks = [(params, n, key, min(_BLOCK, reps - key[1] * _BLOCK))
-              for key in replication_seeds(reps, seed)]
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return np.concatenate(list(pool.map(_run_block, blocks)))
-    return np.concatenate(list(map(_run_block, blocks)))
+    sums = run_blocks(params, n, reps, seed, partial(_cls_reducer, params),
+                      workers)
+    return _rows(params, n, sums)

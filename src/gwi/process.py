@@ -26,10 +26,14 @@ the aggregate offspring of every live family.  The stationary start
 ``cascade_depth + 1`` steps, the backward series truncated where its
 mean remainder falls below the fixed ``_INIT_TOL``, so there is no
 second stepping loop.
+
+``run_blocks`` is the one block farm of stationary chains: every chain
+experiment starts and runs its chains there, ``_BLOCK`` to a stream.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +53,8 @@ __all__ = [
     "step_batch",
     "simulate",
     "simulate_batch",
+    "block_keys",
+    "run_blocks",
     "residuals",
     "scaling",
 ]
@@ -66,6 +72,9 @@ _INIT_TOL = 1e-6
 # on 2 shared vCPUs, 2**17 cost 75-78 ns per chain-step at widths 1-500,
 # against 85-90 ns at 2**15 and 74-90 ns at 2**19.
 _REDUCE_BUDGET = 2**17
+
+# Chains per ``run_blocks`` block, the unit of RNG keys and worker jobs.
+_BLOCK = 250
 
 
 class TailOverflowError(RuntimeError):
@@ -221,6 +230,56 @@ def simulate_batch(
             reduce(window)
         x = window[t]
     return out
+
+
+def block_keys(reps: int, seed) -> list[list[int]]:
+    """Keys [seed, b] (or [*seed, b]) of ``run_blocks``, one per block.
+
+    ``SeedSequence`` pads its entropy with zero words up to four, so for
+    a seed of at most three words block 0 draws ``default_rng(seed)``.
+    """
+    head = [seed] if np.ndim(seed) == 0 else list(seed)
+    return [[*head, b] for b in range(-(-reps // _BLOCK))]
+
+
+def _run_block(job):
+    """One block's stationary start and run: its paths or reducer state."""
+    params, n, key, width, reducer = job
+    rng = np.random.default_rng(key)
+    inits = stationary_init_many(params, width, rng)
+    if reducer is None:
+        return simulate_batch(params, n, inits, rng)
+    state, reduce = reducer(width)
+    simulate_batch(params, n, inits, rng, reduce=reduce)
+    return state
+
+
+def run_blocks(params: ModelParams, n: int, reps: int, seed, reducer=None,
+               workers: int = 1) -> np.ndarray:
+    """Run ``reps`` stationary chains for n steps, ``_BLOCK`` to a block.
+
+    Block b holds chains b*_BLOCK onward; it draws its stationary start
+    and its steps from ``default_rng(block_keys(reps, seed)[b])``.
+    Without ``reducer`` returns the (reps, n+1) paths.  With it, the
+    factory ``reducer(width)`` returns ``(state, reduce)`` for a block,
+    ``reduce`` takes the engine's windows, and the states are joined on
+    their last axis; it must pickle (module level, or a ``partial``).
+    The blocks are mapped over ``workers`` processes and come back in
+    order, so nothing depends on ``workers``.  One block's result is
+    returned as it is: a copy would add a stored path to the peak.
+    """
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    jobs = [(params, n, key, min(_BLOCK, reps - b * _BLOCK), reducer)
+            for b, key in enumerate(block_keys(reps, seed))]
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            out = list(pool.map(_run_block, jobs))
+    else:
+        out = list(map(_run_block, jobs))
+    if len(out) == 1:
+        return out[0]
+    return np.concatenate(out, axis=0 if reducer is None else -1)
 
 
 def residuals(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ call.  The validators here tie long simulations to that limit: the
 conditional law of the scaled residual W'_0 = M_1/sqrt(X_0) approaches
 N(0, sigma_A2), checked on at least ``MIN_EVENTS`` exceedances of a
 high quantile, and the point process of exceedances of a_n * eps has a
-closed-form Laplace functional.  Their chains start from
-``process.stationary_init_many``, the backward series truncated at the
+closed-form Laplace functional.  Their chains run on the block farm
+``process.run_blocks``, from the backward series truncated at the
 fixed mean remainder ``process._INIT_TOL``.  The Kolmogorov-Smirnov
 distances are taken by ``_ks``, scipy's one-sample two-sided statistic
 in numpy, so that importing this module does not load ``scipy.stats``.
@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
 
-from .process import ModelParams, scaling, simulate_batch, stationary_init_many
+from .process import ModelParams, run_blocks, scaling
+# perfbench/spans.py patches these by name; nothing here calls them
+from .process import simulate_batch, stationary_init_many  # noqa: F401
 
 MIN_EVENTS = 1000  # least number of exceedances validate_pseudo_tail accepts
 
@@ -125,22 +128,16 @@ def sample_forward_front_many(
 # ---------------------------------------------------------------------------
 # validators on long stationary runs
 
-def run_stationary_batch(
-    params: ModelParams,
-    total_steps: int,
-    chains: int,
-    seed,
-) -> np.ndarray:
+def run_stationary_batch(params: ModelParams, total_steps: int, chains: int,
+                         seed, workers: int = 1) -> np.ndarray:
     """Stationary-start path bundle with ``total_steps`` transitions overall.
 
-    The budget is split over independent chains simulated side by side;
-    per-chain statistics must not straddle chain boundaries, which every
-    consumer below respects.
+    The budget is split over independent chains, run on ``run_blocks``
+    in stored mode; per-chain statistics must not straddle chain
+    boundaries, which every consumer below respects.
     """
-    rng = np.random.default_rng(seed)
-    n = total_steps // chains
-    inits = stationary_init_many(params, chains, rng)
-    return simulate_batch(params, n, inits, rng)
+    return run_blocks(params, total_steps // chains, chains, seed,
+                      workers=workers)
 
 
 def _ks(sample: np.ndarray, cdf) -> float:
@@ -212,23 +209,21 @@ def validate_pseudo_tail(
     )
 
 
-def exceedance_counts(
-    params: ModelParams,
-    n: int,
-    reps: int,
-    level: float,
-    seed,
-) -> np.ndarray:
+def exceedance_counts(params: ModelParams, n: int, reps: int, level: float,
+                      seed, workers: int = 1) -> np.ndarray:
     """#{1 <= j <= n : X_j > level} for ``reps`` stationary chains."""
-    rng = np.random.default_rng(seed)
-    inits = stationary_init_many(params, reps, rng)
-    counts = np.zeros(reps, dtype=np.int64)
+    return run_blocks(params, n, reps, seed, partial(_count_reducer, level),
+                      workers)
+
+
+def _count_reducer(level: float, width: int):
+    """Zeroed exceedance counts of ``width`` chains and their reducer."""
+    counts = np.zeros(width, dtype=np.int64)
 
     def reduce(block):
         counts[:] += (block[1:] > level).sum(0)
 
-    simulate_batch(params, n, inits, rng, reduce=reduce)
-    return counts
+    return counts, reduce
 
 
 def laplace_analytic(params: ModelParams, eps: float, s: float) -> float:
@@ -248,22 +243,16 @@ def laplace_analytic(params: ModelParams, eps: float, s: float) -> float:
         / (1.0 - q * math.exp(-s))
 
 
-def laplace_functional_gap(
-    params: ModelParams,
-    eps: float,
-    s_values,
-    n: int,
-    reps: int,
-    seed,
-) -> dict:
+def laplace_functional_gap(params: ModelParams, eps: float, s_values, n: int,
+                           reps: int, seed, workers: int = 1) -> dict:
     """Empirical vs analytic -log E[exp(-N_n(f))] for f = s*1{x > eps}.
 
     N_n counts the steps 1..n of a chain above a_n * eps, a_n =
     ``scaling(params, n)``.  The exceedance counts are simulated once,
-    from stationary starts, and reused for every s in the sequence
-    ``s_values``.  Returns per-s empirical value, analytic value,
-    absolute gap, a delta-method standard error of the empirical side,
-    and ``ess`` = (sum w)^2 / sum w^2, the effective number of chains
+    from stationary starts on ``workers`` processes, and reused for
+    every s in the sequence ``s_values``.  Returns per-s empirical
+    value, analytic value, absolute gap, a delta-method standard error
+    of the empirical side, and ``ess`` = (sum w)^2 / sum w^2, the effective number of chains
     behind the mean of the weights w.  ``stderr`` is meaningful only
     when ``ess`` is large: when one chain's weight dominates, ``ess``
     is near 1 and ``stderr`` saturates near 1.  A negative s raises
@@ -276,7 +265,8 @@ def laplace_functional_gap(
     """
     s_values = [float(sv) for sv in s_values]
     analytic = [laplace_analytic(params, eps, sv) for sv in s_values]
-    counts = exceedance_counts(params, n, reps, scaling(params, n) * eps, seed)
+    counts = exceedance_counts(params, n, reps, scaling(params, n) * eps, seed,
+                               workers=workers)
     k0 = int(counts.min())
     out = {}
     for sv, ana in zip(s_values, analytic):

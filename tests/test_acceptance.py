@@ -205,7 +205,7 @@ def test_acceptance_08_conditional_residual_law(ref_model, tail_run):
 
 def test_acceptance_09_laplace_functional(ref_model):
     out = laplace_functional_gap(ref_model, 1.0, [0.5, 1.0, 2.0], 10**6,
-                                 500, [MASTER_SEED, 3])
+                                 500, [MASTER_SEED, 3], workers=_WORKERS)
     worst = max((rec["gap"] - (3.0 * rec["stderr"] + 0.02), s)
                 for s, rec in out.items())
     detail = "; ".join(f"s={s:g}: gap {rec['gap']:.4f} vs "

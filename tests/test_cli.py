@@ -53,8 +53,10 @@ class TestConfig:
             parse_config(str(p))
 
     def test_unknown_key_rejected(self, tmp_path):
-        # 'm' was a default that nothing read; 'tol' had one value in use
-        for key, value in (("mua", "0.9"), ("m", "0.9"), ("tol", "1e-6")):
+        # 'm' was a default that nothing read; 'tol' had one value in use;
+        # 'beta' and 'x' went with the command that printed closed forms
+        for key, value in (("mua", "0.9"), ("m", "0.9"), ("tol", "1e-6"),
+                           ("beta", "3"), ("x", "1000")):
             p = tmp_path / "typo.cfg"
             p.write_text(f"{key} = {value}\n")
             with pytest.raises(click.UsageError, match=repr(key)):
@@ -128,7 +130,7 @@ class TestConfig:
         p.write_text("seed = -1\n")
         with pytest.raises(click.UsageError, match="'seed'"):
             parse_config(str(p))
-        result = runner.invoke(main, ["karamata", "--seed", "-1",
+        result = runner.invoke(main, ["cf-table", "--seed", "-1",
                                       "--out", str(tmp_path / "k")])
         assert result.exit_code == 2
         assert "--seed" in result.output
@@ -153,7 +155,6 @@ _TINY = {
     "cf-table": "s_values = 1\nt_values = 1\n",
     "tail-validate": "n = 200000\nchains = 100\nquantile = 0.99\n",
     "laplace-validate": "n = 2000\nreps = 50\neps = 1.0\n",
-    "karamata": "",
 }
 
 # The health keys each experiment records.
@@ -167,7 +168,6 @@ _HEALTH_KEYS = {
     "cf-table": {"tol", "cf_nodes", "cf_rule_error"},
     "tail-validate": {"threshold", "n_events"},
     "laplace-validate": {"level", "min_ess"},
-    "karamata": set(),
 }
 
 
@@ -202,7 +202,7 @@ class TestRegistry:
             assert hashlib.sha256((out / f).read_bytes()).hexdigest() == digest
         keys = manifest["seed_table"]
         assert keys == [[3, b] for b in range(len(keys))]
-        assert (keys == []) == (name in ("cdf-table", "cf-table", "karamata"))
+        assert (keys == []) == (name in ("cdf-table", "cf-table"))
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(click.UsageError, match="'estimat'"):
@@ -220,7 +220,7 @@ class TestRegistry:
         # n = 1000 over 100 chains leaves at most 2.1 of 1100 values
         # above the 0.999-quantile, short of tailproc.MIN_EVENTS
         seen = []
-        monkeypatch.setattr(tailproc, "stationary_init_many",
+        monkeypatch.setattr(process, "stationary_init_many",
                             lambda *args: seen.append(args))
         out = tmp_path / "tail"
         result = runner.invoke(main, ["tail-validate", "--out", str(out)])
@@ -232,7 +232,7 @@ class TestRegistry:
     def test_tail_validate_needs_a_step_per_chain(self, runner, tmp_path,
                                                   monkeypatch):
         seen = []
-        monkeypatch.setattr(tailproc, "stationary_init_many",
+        monkeypatch.setattr(process, "stationary_init_many",
                             lambda *args: seen.append(args))
         cfg = tmp_path / "tail.cfg"
         cfg.write_text("n = 99\nchains = 100\n")
@@ -261,7 +261,7 @@ class TestRegistry:
     def test_laplace_rejects_one_rep(self, runner, tmp_path, monkeypatch):
         # the gap's stderr uses ddof = 1, so one chain would write NaN
         seen = []
-        monkeypatch.setattr(tailproc, "stationary_init_many",
+        monkeypatch.setattr(process, "stationary_init_many",
                             lambda *args: seen.append(args))
         cfg = tmp_path / "lap.cfg"
         cfg.write_text("n = 2000\nreps = 1\neps = 1\n")
@@ -275,7 +275,7 @@ class TestRegistry:
     def test_laplace_rejects_negative_s(self, runner, tmp_path, monkeypatch):
         # the functional is defined for f = s*1{x > eps} >= 0 only
         seen = []
-        monkeypatch.setattr(tailproc, "stationary_init_many",
+        monkeypatch.setattr(process, "stationary_init_many",
                             lambda *args: seen.append(args))
         cfg = tmp_path / "lap.cfg"
         cfg.write_text(_TINY["laplace-validate"] + "s_values = 0.5,-1\n")
@@ -290,7 +290,7 @@ class TestRegistry:
         # n = 1000, eps = 0.01 put a_n*eps at 0.5994: every nonzero step
         # would be an exceedance
         seen = []
-        monkeypatch.setattr(tailproc, "stationary_init_many",
+        monkeypatch.setattr(process, "stationary_init_many",
                             lambda *args: seen.append(args))
         out = tmp_path / "lap"
         result = runner.invoke(main, ["laplace-validate", "--out", str(out)])
@@ -551,14 +551,29 @@ class TestTables:
         assert re**2 + im**2 < 1.0
         _check_rule_health(out, limitlaw.CF_RULE_TOL)
 
-    def test_karamata(self, runner, tmp_path):
-        out = tmp_path / "kar"
-        _run(runner, "karamata", "--out", str(out))
-        rec = json.loads((out / "karamata.json").read_text())
-        assert rec["empirical"] == pytest.approx(rec["analytic"], rel=0.01)
+def _outputs_by_workers(runner, tmp_path, name, cfg_text, filename):
+    """``filename`` as written at --workers 1 and 3, and the seed table."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    outs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"w{workers}"
+        _run(runner, name, "--config", str(cfg), "--seed", "4",
+             "--out", str(out), "--workers", workers)
+        outs.append((out / filename).read_bytes())
+    keys = json.loads((out / "manifest.json").read_text())["seed_table"]
+    return outs, keys
 
 
 class TestTailValidate:
+    def test_worker_invariant_output(self, runner, tmp_path):
+        # 300 chains span two farm blocks
+        outs, keys = _outputs_by_workers(
+            runner, tmp_path, "tail-validate",
+            "n = 300000\nchains = 300\nquantile = 0.99\n", "tail_report.json")
+        assert outs[0] == outs[1]
+        assert keys == [[4, 0], [4, 1]]
+
     def test_health_from_report(self, runner, tmp_path):
         cfg = tmp_path / "tail.cfg"
         cfg.write_text(_TINY["tail-validate"])
@@ -595,6 +610,14 @@ class TestLimitSample:
 
 
 class TestLaplaceValidate:
+    def test_worker_invariant_output(self, runner, tmp_path):
+        # 300 reps span two farm blocks
+        outs, keys = _outputs_by_workers(
+            runner, tmp_path, "laplace-validate",
+            "n = 2000\nreps = 300\neps = 1.0\n", "laplace_report.json")
+        assert outs[0] == outs[1]
+        assert keys == [[4, 0], [4, 1]]
+
     def test_report_and_health(self, runner, tmp_path):
         cfg = tmp_path / "lap.cfg"
         cfg.write_text(_TINY["laplace-validate"])

@@ -65,12 +65,6 @@ class TestImmigrationLaw:
             assert ImmigrationLaw(alpha, 0.3).mu_B == \
                 pytest.approx(want, rel=1e-13)
 
-    def test_survival(self):
-        law = ImmigrationLaw(1.5, 0.3)
-        assert law.survival(0) == 1.0
-        assert law.survival(1) == pytest.approx(0.3)
-        assert law.survival(4) == pytest.approx(0.3 * 4**-1.5)
-
     def test_spec_point_values(self):
         law = ImmigrationLaw(1.5, 0.3)
         # 1-u = 0.5 > c; 0.3*2^-1.5 >= 0.1 > 0.3*3^-1.5; 1-u hits c exactly

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from gwi.estimator import (
     cls_estimate,
     replication_experiment,
-    replication_seeds,
 )
 from gwi.process import (
+    block_keys,
     residuals,
     scaling,
     simulate,
@@ -193,9 +193,11 @@ class TestReplicationExperiment:
         assert tab["v2"] == pytest.approx(ref[:, 2], rel=1e-9)
 
     def test_seed_table(self):
-        assert replication_seeds(250, 7) == [[7, 0]]
-        assert replication_seeds(251, 7) == [[7, 0], [7, 1]]
-        assert replication_seeds(1, 3) == [[3, 0]]
+        # the keys of the farm's blocks, as ``estimate`` records them
+        assert block_keys(250, 7) == [[7, 0]]
+        assert block_keys(251, 7) == [[7, 0], [7, 1]]
+        assert block_keys(1, 3) == [[3, 0]]
+        assert block_keys(251, [42, 3]) == [[42, 3, 0], [42, 3, 1]]
 
     def test_fields_consistent(self, ref_model):
         tab = replication_experiment(ref_model, 300, 40, seed=3)

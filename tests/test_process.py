@@ -1,8 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from gwi import process
 from gwi.distributions import (
     ImmigrationLaw,
     OffspringLaw,
@@ -10,16 +12,19 @@ from gwi.distributions import (
     sample_immigration_many,
 )
 from gwi.process import (
+    _BLOCK,
     _REDUCE_BUDGET,
     ModelParams,
     TailOverflowError,
     cascade_depth,
     residuals,
+    run_blocks,
     scaling,
     simulate,
     simulate_batch,
     stationary_init_many,
 )
+from gwi.tailproc import _count_reducer
 
 MU_B = 0.783712604605646503  # c*zeta(alpha) oracle at (1.5, 0.3)
 
@@ -286,6 +291,62 @@ class TestReduceMode:
         path = simulate_batch(ref_model, 3, inits, _DoublingRng())
         assert path.tolist() == [[1, 2, 4, 8],
                                  [3 * 2**k for k in range(57, 61)]]
+
+
+class TestRunBlocks:
+    """The block farm: stationary chains in blocks of ``_BLOCK``."""
+
+    @staticmethod
+    def _direct(params, n, width, key):
+        rng = np.random.default_rng(key)
+        inits = stationary_init_many(params, width, rng)
+        return simulate_batch(params, n, inits, rng)
+
+    @pytest.mark.parametrize("seed", [7, [42, 2], [5, 0, 1]])
+    @pytest.mark.parametrize("width", [1, _BLOCK])
+    def test_one_block_is_the_direct_stream(self, ref_model, seed, width):
+        # SeedSequence pads its entropy with zero words up to four, so
+        # block 0's key [*seed, 0] draws the stream of default_rng(seed):
+        # up to _BLOCK chains, the farm is the direct start-and-run
+        assert np.array_equal(run_blocks(ref_model, 30, width, seed),
+                              self._direct(ref_model, 30, width, seed))
+
+    def test_blocks_join_in_order(self, ref_model):
+        # 300 chains: block 0 holds 250 on key [9, 0], block 1 the other
+        # 50 on [9, 1], whatever the worker count and the mode
+        n, level = 40, 3
+        want = np.concatenate([self._direct(ref_model, n, 250, [9, 0]),
+                               self._direct(ref_model, n, 50, [9, 1])])
+        counts = (want[:, 1:] > level).sum(axis=1)
+        for workers in (1, 2):
+            assert np.array_equal(
+                run_blocks(ref_model, n, 300, 9, workers=workers), want)
+            assert np.array_equal(
+                run_blocks(ref_model, n, 300, 9,
+                           partial(_count_reducer, level), workers), counts)
+
+    def test_one_block_not_copied(self, ref_model, monkeypatch):
+        # a single block's result comes back as it is: a copy of a stored
+        # path would add its size to the peak memory
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(simulate_batch(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(process, "simulate_batch", spy)
+        assert run_blocks(ref_model, 50, 20, 3) is runs[-1]
+        states = []
+
+        def reducer(width):
+            states.append(np.zeros(width))
+            return states[-1], lambda window: None
+
+        assert run_blocks(ref_model, 50, 20, 3, reducer) is states[0]
+
+    def test_rejects_no_chains(self, ref_model):
+        with pytest.raises(ValueError, match="reps"):
+            run_blocks(ref_model, 10, 0, 1)
 
 
 class TestAgreementInLaw:

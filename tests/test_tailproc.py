@@ -154,7 +154,7 @@ class TestLaplaceAnalytic:
     def test_gap_rejects_negative_s_before_simulating(self, ref_model,
                                                       monkeypatch):
         monkeypatch.setattr(tailproc, "exceedance_counts",
-                            lambda *args: pytest.fail("chains simulated"))
+                            lambda *args, **kw: pytest.fail("chains simulated"))
         with pytest.raises(ValueError, match="nonnegative"):
             laplace_functional_gap(ref_model, 0.5, [1.0, -1.0], n=100,
                                    reps=10, seed=0)
@@ -163,7 +163,7 @@ class TestLaplaceAnalytic:
         # exp(-2 * 800) underflows to 0; shifted by the least count, the
         # empirical value is 1600 - log((1 + exp(-200)) / 2)
         monkeypatch.setattr(tailproc, "exceedance_counts",
-                            lambda *args: np.array([800, 900]))
+                            lambda *args, **kw: np.array([800, 900]))
         out = laplace_functional_gap(ref_model, 0.5, [2.0], n=100, reps=2,
                                      seed=0)
         assert out[2.0]["empirical"] == pytest.approx(1600 + math.log(2),
@@ -175,7 +175,7 @@ class TestLaplaceAnalytic:
     def test_ess_of_equal_counts(self, ref_model, monkeypatch):
         # equal weights: every chain counts, whatever s
         monkeypatch.setattr(tailproc, "exceedance_counts",
-                            lambda *args: np.full(7, 3))
+                            lambda *args, **kw: np.full(7, 3))
         out = laplace_functional_gap(ref_model, 0.5, [0.0, 0.5, 2.0], n=100,
                                      reps=7, seed=0)
         assert [rec["ess"] for rec in out.values()] == [7.0, 7.0, 7.0]
@@ -266,12 +266,16 @@ class TestValidators:
 
     @pytest.mark.parametrize("n", [500, 3])
     def test_exceedance_counts_match_path(self, ref_model, n):
-        # 300 chains: 500 steps span several reduce blocks, 3 fit in one
+        # 300 chains: 500 steps span several reduce blocks, 3 fit in one;
+        # the chains cross a farm block boundary at 250, keyed [5, 0, b]
         reps, level = 300, 10.0
         counts = exceedance_counts(ref_model, n, reps, level, seed=[5, 0])
-        rng = np.random.default_rng([5, 0])
-        inits = stationary_init_many(ref_model, reps, rng)
-        path = simulate_batch(ref_model, n, inits, rng)
+        path = []
+        for b, width in ((0, 250), (1, 50)):
+            rng = np.random.default_rng([5, 0, b])
+            inits = stationary_init_many(ref_model, width, rng)
+            path.extend(simulate_batch(ref_model, n, inits, rng))
+        path = np.array(path)
         assert np.array_equal(counts, (path[:, 1:] > level).sum(axis=1))
 
 
