@@ -1,10 +1,10 @@
 """Experiment harness: seeded, reproducible runs emitting CSV/JSON.
 
-Every experiment is fully determined by a flat key=value config file
-plus the command-line seed; outputs are byte-stable across reruns
-and worker counts, and each run writes a manifest recording the
-effective config, the RNG keys it seeded, its health record and
-checksums of the emitted files.
+Every experiment is fully determined by a flat key=value config file,
+which sets only keys its command reads, plus the command-line seed;
+outputs are byte-stable across reruns and worker counts, and each run
+writes a manifest recording the effective config, the RNG keys it
+seeded, its health record and checksums of the emitted files.
 """
 
 from __future__ import annotations
@@ -30,25 +30,9 @@ _CSV_CHUNK = 2**16
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
-# Each key's value is parsed into the type of its default.
-_DEFAULTS = {
-    "alpha": 1.5,
-    "mu_A": 0.5,
-    "c": 0.3,
-    "offspring": "poisson",
-    "n": 1000,
-    "reps": 100,
-    "eps": 0.01,
-    "seed": 0,
-    "compensate": False,
-    "quantile": 0.999,
-    "chains": 100,
-    "x_min": -5.0,
-    "x_max": 5.0,
-    "x_points": 101,
-    "s_values": "0.5,1,2",
-    "t_values": "0.5,1,2",
-}
+# Keys every command accepts, with their defaults; EXPERIMENTS adds more.
+_SHARED = {"alpha": 1.5, "mu_A": 0.5, "c": 0.3, "offspring": "poisson",
+           "seed": 0}
 
 # Open intervals (lo, hi) the float keys must lie in, and the least
 # value of each int key.
@@ -75,38 +59,36 @@ _TYPE_NAMES = {bool: "one of true/false/1/0/yes/no", int: "of type int",
 
 
 def parse_config(path: str | None) -> dict:
-    """Flat key=value config; '#' starts a comment.
+    """The keys a flat key=value config file sets; '#' starts a comment.
 
-    Only the keys of ``_DEFAULTS`` are accepted, each parsed into the
-    type of its default; an unknown key, a value of the wrong type or one
-    outside its range raises ``click.UsageError`` naming the key.
-    ``compensate`` is true/false/1/0/yes/no, in any case; ``offspring``
-    is bernoulli, poisson or geometric; ``s_values`` and ``t_values``
-    are non-empty lists of comma-separated finite floats.
-    ``laplace-validate`` rejects a negative ``s_values`` entry, ``reps``
-    below 2 and an ``eps`` and ``n`` whose level a_n*eps is below 1, and
-    ``tail-validate`` an ``n``, ``chains`` and ``quantile`` that leave
-    fewer than ``tailproc.MIN_EVENTS`` values above the quantile, before
-    the run or, when path values tie at the threshold, after it.
+    ``run`` adds the experiment's defaults and rejects a key it does not
+    read.  A value is parsed into the type of the key's default: a bool
+    is true/false/1/0/yes/no in any case, ``offspring`` a family of
+    ``OffspringLaw``, and ``s_values`` and ``t_values`` comma-separated
+    finite floats.  An unknown key, a value of the wrong type or one out
+    of range raises ``click.UsageError`` naming the key.
     """
-    cfg = dict(_DEFAULTS)
-    if path:
-        for raw in Path(path).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise click.UsageError(f"config line not key=value: {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _DEFAULTS:
-                raise click.UsageError(f"unknown config key {key!r}")
-            kind = type(_DEFAULTS[key])
-            try:
-                cfg[key] = _PARSERS[kind](val)
-            except (ValueError, KeyError):
-                raise click.UsageError(
-                    f"config key {key!r} must be {_TYPE_NAMES[kind]}, "
-                    f"got {val!r}") from None
+    # every key some experiment reads, at one of its (in-range) defaults
+    cfg = {key: value for _, own in EXPERIMENTS.values()
+           for key, value in {**_SHARED, **own}.items()}
+    given = {}
+    for raw in Path(path).read_text().splitlines() if path else ():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise click.UsageError(f"config line not key=value: {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in cfg:
+            raise click.UsageError(f"unknown config key {key!r}")
+        kind = type(cfg[key])
+        try:
+            given[key] = _PARSERS[kind](val)
+        except (ValueError, KeyError):
+            raise click.UsageError(
+                f"config key {key!r} must be {_TYPE_NAMES[kind]}, "
+                f"got {val!r}") from None
+    cfg.update(given)
     for key, (lo, hi) in _OPEN_RANGES.items():
         if not lo < cfg[key] < hi:
             raise click.UsageError(f"config key {key!r} must lie in "
@@ -125,7 +107,7 @@ def parse_config(path: str | None) -> dict:
         except ValueError:
             raise click.UsageError(f"config key {key!r} must be comma-separated"
                                    f" finite floats, got {cfg[key]!r}") from None
-    return cfg
+    return given
 
 
 def _write_rows(fh, columns) -> None:
@@ -208,7 +190,7 @@ def _estimate(cfg, out_dir, workers):
 
 
 def _limit_sample(cfg, out_dir, workers):
-    """(V1, V2) draws from the Poisson series (limit_samples.csv)."""
+    """(V1, V2) draws, the series truncated at eps (limit_samples.csv)."""
     p = _limit_params(cfg)
     rng = np.random.default_rng([cfg["seed"], 0])
     table = limitlaw.sample_limit_pairs(
@@ -281,7 +263,7 @@ def _tail_validate(cfg, out_dir, workers):
 
 
 def _laplace_validate(cfg, out_dir, workers):
-    """Laplace functional of the exceedance point process vs its limit."""
+    """Laplace functional of the exceedances of a_n*eps vs its limit."""
     s_values = _floats(cfg["s_values"])
     if min(s_values) < 0.0:
         raise click.UsageError("config key 's_values' must be >= 0 for "
@@ -310,32 +292,46 @@ def _laplace_validate(cfg, out_dir, workers):
     return [path], process.block_keys(cfg["reps"], cfg["seed"]), health
 
 
+# name -> (fn, its own keys with their defaults); every command also
+# accepts the keys of ``_SHARED``.
 EXPERIMENTS = {
-    "simulate": _simulate,
-    "estimate": _estimate,
-    "limit-sample": _limit_sample,
-    "cdf-table": _cdf_table,
-    "cf-table": _cf_table,
-    "tail-validate": _tail_validate,
-    "laplace-validate": _laplace_validate,
+    "simulate": (_simulate, {"n": 1000}),
+    "estimate": (_estimate, {"n": 1000, "reps": 100}),
+    "limit-sample": (_limit_sample,
+                     {"reps": 100, "eps": 0.01, "compensate": False}),
+    "cdf-table": (_cdf_table, {"x_min": -5.0, "x_max": 5.0, "x_points": 101}),
+    "cf-table": (_cf_table, {"s_values": "0.5,1,2", "t_values": "0.5,1,2"}),
+    "tail-validate": (_tail_validate,
+                      {"n": 2_000_000, "chains": 100, "quantile": 0.999}),
+    "laplace-validate": (_laplace_validate,
+                         {"n": 1000, "reps": 100, "eps": 1.0,
+                          "s_values": "0.5,1,2"}),
 }
 
 
 def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
-    """Run one experiment of ``EXPERIMENTS``; returns its summary.
+    """Run one experiment of ``EXPERIMENTS`` at ``cfg`` over its defaults.
 
-    The summary is the run's health record plus the manifest's path and
-    the output paths.  If the experiment raises (a rejected config, say),
-    the directories this call made are removed again while they are empty.
+    A key of ``cfg`` it does not read is rejected before any directory
+    is made.  Returns the run's health record plus the manifest's path
+    and the output paths.  If the experiment raises, the directories
+    this call made are removed again while they are empty.
     """
     if experiment not in EXPERIMENTS:
         raise click.UsageError(f"unknown experiment {experiment!r}")
+    fn, own = EXPERIMENTS[experiment]
+    defaults = {**_SHARED, **own}
+    for key in cfg:
+        if key not in defaults:
+            raise click.UsageError(
+                f"config key {key!r} is not read by {experiment}, which "
+                f"reads {', '.join(defaults)}")
+    cfg = {**defaults, **cfg}
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        files, rng_keys, health = EXPERIMENTS[experiment](
-            cfg, out_dir, workers)
+        files, rng_keys, health = fn(cfg, out_dir, workers)
     except BaseException:
         for d in made:
             if any(d.iterdir()):
@@ -365,7 +361,10 @@ def main():
 
 
 def _make_command(name):
-    @main.command(name=name, help=EXPERIMENTS[name].__doc__)
+    keys = "\n".join(f"  {k} = {v}"
+                     for k, v in {**_SHARED, **EXPERIMENTS[name][1]}.items())
+    @main.command(name=name, help=EXPERIMENTS[name][0].__doc__,
+                  epilog=f"\b\nConfig keys, with their defaults:\n{keys}")
     @click.option("--config", "config_path", type=click.Path(exists=True),
                   default=None, help="flat key=value config file")
     @click.option("--seed", type=click.IntRange(min=0), default=None,

@@ -264,22 +264,37 @@ def run_blocks(params: ModelParams, n: int, reps: int, seed, reducer=None,
     factory ``reducer(width)`` returns ``(state, reduce)`` for a block,
     ``reduce`` takes the engine's windows, and the states are joined on
     their last axis; it must pickle (module level, or a ``partial``).
-    The blocks are mapped over ``workers`` processes and come back in
-    order, so nothing depends on ``workers``.  One block's result is
-    returned as it is: a copy would add a stored path to the peak.
+    The blocks are mapped over ``workers`` processes and written into the
+    result in order as they arrive, so nothing depends on ``workers``; one
+    block's result is returned as it is.  Neither holds a path twice.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
     jobs = [(params, n, key, min(_BLOCK, reps - b * _BLOCK), reducer)
             for b, key in enumerate(block_keys(reps, seed))]
-    if workers > 1 and len(jobs) > 1:
+    if len(jobs) == 1:
+        return _run_block(jobs[0])
+    axis = 0 if reducer is None else -1
+    lo = 0  # not enumerate: its reused tuple would hold the last block
+    for block in _blocks(jobs, workers):
+        if lo == 0:
+            shape = list(block.shape)
+            shape[axis] = reps
+            out = np.empty(shape, block.dtype)
+        np.moveaxis(out, axis, 0)[lo: lo + _BLOCK] = \
+            np.moveaxis(block, axis, 0)
+        lo += _BLOCK
+        del block  # dropped before the next block runs
+    return out
+
+
+def _blocks(jobs, workers):
+    """``_run_block`` of each job, in order, on ``workers`` processes."""
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            out = list(pool.map(_run_block, jobs))
+            yield from pool.map(_run_block, jobs)
     else:
-        out = list(map(_run_block, jobs))
-    if len(out) == 1:
-        return out[0]
-    return np.concatenate(out, axis=0 if reducer is None else -1)
+        yield from map(_run_block, jobs)
 
 
 def residuals(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -8,12 +8,21 @@ small runs of every stepping entry point must record
 ``process.step_batch`` spans, and work beyond one family per span, under
 the installed tracer, and one ``cdf_ratio`` point must record
 ``quadrature.gauss_kronrod`` spans and integrand spans with work.
+
+Every stage config the benchmark writes must also pass ``gwi``'s config
+checks: a rejected stage is a failed operation in every round.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from gwi import cli
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,3 +102,34 @@ def test_traced_stepping_records_work():
 def test_traced_cdf_records_quadrature():
     result = _run(_QUAD)
     assert result.returncode == 0, result.stderr
+
+
+def _workloads():
+    """``perfbench/workloads.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", _ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("size", ["full", "smoke"])
+def test_stage_configs_accepted(tmp_path, monkeypatch, size):
+    # each stage's config file as the benchmark worker writes it, read
+    # back and run (by a stub of its experiment) through ``cli.run``
+    for name, (_, own) in list(cli.EXPERIMENTS.items()):
+        monkeypatch.setitem(cli.EXPERIMENTS, name,
+                            (lambda cfg, out, workers: ([], [], {}), own))
+    workloads = _workloads()
+    for workload in workloads.WORKLOADS:
+        for i, st in enumerate(workloads.stages(workload, size)):
+            cfg = {**st["config"], "seed": 16 * 7 + i}
+            out = tmp_path / workload / st["name"]
+            out.mkdir(parents=True)
+            (out / "run.cfg").write_text(
+                "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+            parsed = cli.parse_config(str(out / "run.cfg"))
+            assert set(parsed) == set(cfg), (workload, st["name"])
+            cli.run(parsed, st["experiment"], out)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["seed"] == 16 * 7 + i

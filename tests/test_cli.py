@@ -11,6 +11,7 @@ from scipy import stats
 import gwi
 from gwi import limitlaw, process, tailproc
 from gwi.cli import (
+    _SHARED,
     EXPERIMENTS,
     _write_trajectory,
     main,
@@ -33,18 +34,46 @@ def _run(runner, *args):
     return result
 
 
+# The keys every command accepts, and each command's own keys, with
+# their defaults.
+_SHARED_DEFAULTS = {"alpha": 1.5, "mu_A": 0.5, "c": 0.3,
+                    "offspring": "poisson", "seed": 0}
+_OWN_DEFAULTS = {
+    "simulate": {"n": 1000},
+    "estimate": {"n": 1000, "reps": 100},
+    "limit-sample": {"reps": 100, "eps": 0.01, "compensate": False},
+    "cdf-table": {"x_min": -5.0, "x_max": 5.0, "x_points": 101},
+    "cf-table": {"s_values": "0.5,1,2", "t_values": "0.5,1,2"},
+    "tail-validate": {"n": 2_000_000, "chains": 100, "quantile": 0.999},
+    "laplace-validate": {"n": 1000, "reps": 100, "eps": 1.0,
+                         "s_values": "0.5,1,2"},
+}
+
+
 class TestConfig:
     def test_defaults(self):
-        cfg = parse_config(None)
-        assert cfg["alpha"] == 1.5 and cfg["n"] == 1000
+        # no file sets no key; each command runs at its own defaults
+        assert parse_config(None) == {}
+        assert _SHARED == _SHARED_DEFAULTS
+        assert set(_OWN_DEFAULTS) == set(EXPERIMENTS)
+        for name, (_, own) in EXPERIMENTS.items():
+            assert own == _OWN_DEFAULTS[name]
+            assert [type(v) for v in own.values()] == \
+                [type(v) for v in _OWN_DEFAULTS[name].values()]
+            assert not own.keys() & _SHARED.keys()
+        assert sum(len(_SHARED) + len(own)
+                   for _, own in EXPERIMENTS.values()) == 53
+        # a key read by several commands is parsed into one type
+        kinds = {}
+        for _, own in EXPERIMENTS.values():
+            for key, value in own.items():
+                assert kinds.setdefault(key, type(value)) is type(value), key
 
     def test_file_and_comments(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# heavy-tail run\nalpha = 1.3\nn=50  # short\n\n")
         cfg = parse_config(str(p))
-        assert cfg["alpha"] == 1.3
-        assert cfg["n"] == 50
-        assert cfg["c"] == 0.3  # untouched default
+        assert cfg == {"alpha": 1.3, "n": 50}
 
     def test_bad_line(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -67,8 +96,9 @@ class TestConfig:
         for word, want in (("true", True), ("YES", True), ("1", True),
                            ("False", False), ("no", False), ("0", False)):
             p.write_text(f"compensate = {word}\n")
+            assert parse_config(str(p)) == {"compensate": want}
             assert parse_config(str(p))["compensate"] is want
-        assert parse_config(None)["compensate"] is False
+        assert EXPERIMENTS["limit-sample"][1]["compensate"] is False
         for word in ("ture", "on", ""):
             p.write_text(f"compensate = {word}\n")
             with pytest.raises(click.UsageError, match="'compensate'"):
@@ -80,10 +110,9 @@ class TestConfig:
         ("eps", "-0.01"), ("quantile", "0"),
         ("quantile", "1"), ("n", "0"), ("reps", "0"), ("x_points", "0"),
         ("chains", "-3"), ("offspring", "poison"), ("s_values", "0.5,abc"),
-        ("t_values", "0.5,abc"), ("x", "-5"), ("x", "0"), ("beta", "inf"),
-        ("beta", "nan"), ("x_min", "-inf"), ("x_max", "inf"),
+        ("t_values", "0.5,abc"), ("x_min", "-inf"), ("x_max", "inf"),
         ("x_max", "nan"), ("s_values", "nan"), ("t_values", "inf,1"),
-        ("s_values", ","), ("x", "0.5"), ("x", "1"),
+        ("s_values", ","),
     ])
     def test_out_of_range_rejected(self, tmp_path, key, value):
         p = tmp_path / "range.cfg"
@@ -188,7 +217,9 @@ class TestRegistry:
         summary = json.loads(res.output)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiment"] == name
-        assert manifest["config"] == {**parse_config(str(cfg)), "seed": 3}
+        assert manifest["config"] == {
+            **_SHARED_DEFAULTS, **_OWN_DEFAULTS[name],
+            **parse_config(str(cfg)), "seed": 3}
         assert manifest["build"] == f"gwi {gwi.__version__}"
         assert manifest["versions"]["numpy"] == np.__version__
         assert set(manifest["health"]) == _HEALTH_KEYS[name]
@@ -209,21 +240,60 @@ class TestRegistry:
             run(parse_config(None), "estimat", tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize(
-        "name", [name for name in _TINY
-                 if name not in ("tail-validate", "laplace-validate")])
+    @pytest.mark.parametrize("name", list(_TINY))
     def test_default_config_runs(self, runner, tmp_path, name):
-        _run(runner, name, "--out", str(tmp_path / "out"))
+        # every command runs at its own defaults, and records just them
+        out = tmp_path / "out"
+        _run(runner, name, "--out", str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {**_SHARED_DEFAULTS,
+                                      **_OWN_DEFAULTS[name]}
 
-    def test_tail_validate_default_config_rejected(self, runner, tmp_path,
+    @pytest.mark.parametrize("name,line", [
+        ("estimate", "compensate = yes"), ("cdf-table", "n = 100"),
+        ("simulate", "quantile = 0.5")])
+    def test_foreign_key_rejected(self, runner, tmp_path, monkeypatch,
+                                  name, line):
+        # a key only other commands read is rejected before anything runs
+        seen = []
+        monkeypatch.setattr(process, "stationary_init_many",
+                            lambda *args: seen.append(args))
+        monkeypatch.setattr(limitlaw, "cdf_ratio",
+                            lambda *args: seen.append(args))
+        cfg = tmp_path / "foreign.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "runs" / "x"
+        result = runner.invoke(main, [name, "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        key = line.split()[0]
+        assert f"config key {key!r} is not read by {name}" in result.output
+        assert seen == [] and not (tmp_path / "runs").exists()
+        with pytest.raises(click.UsageError, match=repr(key)):
+            run(parse_config(str(cfg)), name, out)
+        assert seen == [] and not (tmp_path / "runs").exists()
+
+    def test_help_lists_keys(self, runner):
+        # exactly the keys the command accepts, each with its default
+        for name, own in _OWN_DEFAULTS.items():
+            text = _run(runner, name, "--help").output
+            listed = text.split("Config keys, with their defaults:\n")[1]
+            assert listed.split("\n")[:-1] == [
+                f"    {key} = {value}"
+                for key, value in {**_SHARED_DEFAULTS, **own}.items()]
+
+    def test_tail_validate_too_few_values_rejected(self, runner, tmp_path,
                                                    monkeypatch):
         # n = 1000 over 100 chains leaves at most 2.1 of 1100 values
         # above the 0.999-quantile, short of tailproc.MIN_EVENTS
         seen = []
         monkeypatch.setattr(process, "stationary_init_many",
                             lambda *args: seen.append(args))
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text("n = 1000\n")
         out = tmp_path / "tail"
-        result = runner.invoke(main, ["tail-validate", "--out", str(out)])
+        result = runner.invoke(main, ["tail-validate", "--config", str(cfg),
+                                      "--out", str(out)])
         assert result.exit_code == 2
         for key in ("'n'", "'chains'", "'quantile'", "2.1"):
             assert key in result.output
@@ -285,15 +355,18 @@ class TestRegistry:
         assert "'s_values'" in result.output
         assert seen == []
 
-    def test_laplace_validate_default_config_rejected(self, runner, tmp_path,
-                                                      monkeypatch):
+    def test_laplace_validate_level_below_one_rejected(self, runner, tmp_path,
+                                                       monkeypatch):
         # n = 1000, eps = 0.01 put a_n*eps at 0.5994: every nonzero step
         # would be an exceedance
         seen = []
         monkeypatch.setattr(process, "stationary_init_many",
                             lambda *args: seen.append(args))
+        cfg = tmp_path / "lap.cfg"
+        cfg.write_text("n = 1000\neps = 0.01\n")
         out = tmp_path / "lap"
-        result = runner.invoke(main, ["laplace-validate", "--out", str(out)])
+        result = runner.invoke(main, ["laplace-validate", "--config", str(cfg),
+                                      "--out", str(out)])
         assert result.exit_code == 2
         for key in ("'eps'", "'n'", "0.5994"):
             assert key in result.output

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -343,6 +344,19 @@ class TestRunBlocks:
             return states[-1], lambda window: None
 
         assert run_blocks(ref_model, 50, 20, 3, reducer) is states[0]
+
+    def test_stored_blocks_not_held_twice(self, ref_model):
+        # 500 chains, two blocks: each block is written into the result
+        # as it arrives, so the peak is the path plus about one block,
+        # not the blocks plus their concatenated copy (2x the path)
+        tracemalloc.start()
+        try:
+            x = run_blocks(ref_model, 20_000, 500, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (500, 20_001)
+        assert peak <= 1.7 * x.nbytes, peak / x.nbytes
 
     def test_rejects_no_chains(self, ref_model):
         with pytest.raises(ValueError, match="reps"):
