@@ -65,8 +65,8 @@ def parse_config(path: str | None) -> dict:
     read.  A value is parsed into the type of the key's default: a bool
     is true/false/1/0/yes/no in any case, ``offspring`` a family of
     ``OffspringLaw``, and ``s_values`` and ``t_values`` comma-separated
-    finite floats.  An unknown key, a value of the wrong type or one out
-    of range raises ``click.UsageError`` naming the key.
+    finite floats.  An unknown key, a key set twice, a value of the wrong
+    type or one out of range raises ``click.UsageError`` naming the key.
     """
     # every key some experiment reads, at one of its (in-range) defaults
     cfg = {key: value for _, own in EXPERIMENTS.values()
@@ -81,6 +81,8 @@ def parse_config(path: str | None) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in cfg:
             raise click.UsageError(f"unknown config key {key!r}")
+        if key in given:
+            raise click.UsageError(f"config key {key!r} is set twice")
         kind = type(cfg[key])
         try:
             given[key] = _PARSERS[kind](val)
@@ -171,9 +173,7 @@ def _simulate(cfg, out_dir, workers):
     m = process.residuals(params, x)
     path = _write_trajectory(out_dir / "trajectory.csv", x, m)
     meta = _write_json(out_dir / "trajectory_meta.json", {
-        "alpha": cfg["alpha"], "mu_A": cfg["mu_A"], "c": cfg["c"],
-        "offspring": cfg["offspring"], "mu_B": params.mu_B,
-        "n": cfg["n"], "seed": seed, "init": int(x[0]),
+        "mu_B": params.mu_B, "init": int(x[0]),
         "init_mode": "stationary-series",
     })
     return [path, meta], process.block_keys(1, seed), {"init": int(x[0])}
@@ -198,8 +198,7 @@ def _limit_sample(cfg, out_dir, workers):
     path = write_csv(out_dir / "limit_samples.csv", table.dtype.names,
                      [table[k] for k in table.dtype.names])
     v1_mean, v2_sd = limitlaw.truncation_bounds(p, cfg["eps"])
-    health = {"eps": cfg["eps"], "compensate": cfg["compensate"],
-              "trunc_v1_mean_bound": v1_mean, "trunc_v2_sd_bound": v2_sd,
+    health = {"trunc_v1_mean_bound": v1_mean, "trunc_v2_sd_bound": v2_sd,
               "mean_terms_used": float(np.mean(table["terms_used"])),
               "min_terms_used": int(np.min(table["terms_used"])),
               "points": int(table["terms_used"].sum())}
@@ -308,11 +307,16 @@ EXPERIMENTS = {
                           "s_values": "0.5,1,2"}),
 }
 
+# The experiments that map their blocks of chains over ``workers``
+# processes; only these offer ``--workers``.
+_PARALLEL = ("estimate", "tail-validate", "laplace-validate")
+
 
 def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
     """Run one experiment of ``EXPERIMENTS`` at ``cfg`` over its defaults.
 
-    A key of ``cfg`` it does not read is rejected before any directory
+    A key of ``cfg`` it does not read, and ``workers > 1`` for an
+    experiment outside ``_PARALLEL``, are rejected before any directory
     is made.  Returns the run's health record plus the manifest's path
     and the output paths.  If the experiment raises, the directories
     this call made are removed again while they are empty.
@@ -326,6 +330,10 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
             raise click.UsageError(
                 f"config key {key!r} is not read by {experiment}, which "
                 f"reads {', '.join(defaults)}")
+    if workers > 1 and experiment not in _PARALLEL:
+        raise click.UsageError(
+            f"{experiment} runs in one process; workers apply only to "
+            f"{', '.join(_PARALLEL)}")
     cfg = {**defaults, **cfg}
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -363,6 +371,10 @@ def main():
 def _make_command(name):
     keys = "\n".join(f"  {k} = {v}"
                      for k, v in {**_SHARED, **EXPERIMENTS[name][1]}.items())
+    workers_option = click.option(
+        "--workers", type=click.IntRange(min=1), default=1,
+        help="worker processes (default 1)")
+
     @main.command(name=name, help=EXPERIMENTS[name][0].__doc__,
                   epilog=f"\b\nConfig keys, with their defaults:\n{keys}")
     @click.option("--config", "config_path", type=click.Path(exists=True),
@@ -371,9 +383,8 @@ def _make_command(name):
                   help="master seed (overrides config)")
     @click.option("--out", "out_dir", type=click.Path(), default="out",
                   help="output directory")
-    @click.option("--workers", type=click.IntRange(min=1), default=1,
-                  help="worker processes (default 1)")
-    def command(config_path, seed, out_dir, workers):
+    @(workers_option if name in _PARALLEL else lambda command: command)
+    def command(config_path, seed, out_dir, workers=1):
         cfg = parse_config(config_path)
         if seed is not None:
             cfg["seed"] = seed

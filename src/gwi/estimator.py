@@ -60,8 +60,8 @@ def _cls_reducer(params: ModelParams, width: int):
 
     ``reduce(block)`` takes successive (T+1, width) blocks whose row 0 is
     the previous block's last state (X_0 for the first block), as
-    ``simulate_batch`` hands them over.  ``sums`` is (2, width): the
-    sums over i = 1..n of X_{i-1}^2 and of X_{i-1} M_i.
+    ``simulate_batch`` hands them over.  The (width, 2) state holds the
+    sums over i = 1..n of X_{i-1}^2 and of X_{i-1} M_i, chain first.
     """
     mu_A, mu_B = params.mu_A, params.mu_B
     sums = np.zeros((2, width))
@@ -83,11 +83,11 @@ def _cls_reducer(params: ModelParams, width: int):
         xm *= prev
         terms.sum(axis=0, out=sums)
 
-    return sums, reduce
+    return sums.T, reduce
 
 
 def _rows(params: ModelParams, n: int, sums: np.ndarray) -> np.ndarray:
-    """``REPLICATION_FIELDS`` rows, numbered from 0, from reduced sums.
+    """``REPLICATION_FIELDS`` rows, numbered from 0, from (chains, 2) sums.
 
     With den = sum X_{i-1}^2 and xm = sum X_{i-1} M_i, mu_hat is
     mu_A + xm/den, v1 = den/a_n^2 and v2 = xm/a_n^1.5, so v2/v1 is the
@@ -97,7 +97,7 @@ def _rows(params: ModelParams, n: int, sums: np.ndarray) -> np.ndarray:
     sqrt(a_n) ulps of mu_hat.
     """
     a_n = scaling(params, n)
-    den, xm = sums
+    den, xm = sums.T
     defined = den > 0
     mu_hat = np.where(
         defined, params.mu_A + xm / np.where(defined, den, 1.0), np.nan)

@@ -21,11 +21,12 @@ independent families, one for X_0 and one for each batch B_i, each
 contributing the size of its generation t - i (the branching property).
 A block of steps is filled one generation at a time, and
 ``step_batch`` is the per-generation kernel: the overflow guard plus
-the aggregate offspring of every live family.  The stationary start
-``stationary_init_many`` is the same engine run from X_0 = 0 for
-``cascade_depth + 1`` steps, the backward series truncated where its
-mean remainder falls below the fixed ``_INIT_TOL``, so there is no
-second stepping loop.
+the aggregate offspring of every live family.  Each block goes to a
+reducer, and the engine returns only X_n; ``_store`` is the reducer
+that keeps paths.  The stationary start ``stationary_init_many`` is
+the engine's X_n from X_0 = 0 after ``cascade_depth + 1`` steps, the
+backward series truncated where its mean remainder falls below the
+fixed ``_INIT_TOL``, so there is no second stepping loop.
 
 ``run_blocks`` is the one block farm of stationary chains: every chain
 experiment starts and runs its chains there, ``_BLOCK`` to a stream.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -67,10 +69,10 @@ _OVERFLOW_LIMIT = 2**62
 _INIT_TOL = 1e-6
 
 # Chain-steps per ``simulate_batch`` block: each block's immigration is
-# drawn at once, its families run until they die out or leave it, and in
-# reduce mode the block is handed to the reducer.  At the reference point
-# on 2 shared vCPUs, 2**17 cost 75-78 ns per chain-step at widths 1-500,
-# against 85-90 ns at 2**15 and 74-90 ns at 2**19.
+# drawn at once, its families run until they die out or leave it, and the
+# block is handed to the reducer.  At the reference point on 2 shared
+# vCPUs, 2**17 cost 75-78 ns per chain-step at widths 1-500, against
+# 85-90 ns at 2**15 and 74-90 ns at 2**19.
 _REDUCE_BUDGET = 2**17
 
 # Chains per ``run_blocks`` block, the unit of RNG keys and worker jobs.
@@ -143,15 +145,8 @@ def stationary_init_many(
     ``simulate_batch``.  I is ``cascade_depth(params)``, the smallest
     depth whose mean remainder is below ``_INIT_TOL``.
     """
-    last = None
-
-    def keep(window):
-        nonlocal last
-        last = window[-1]
-
-    simulate_batch(params, cascade_depth(params) + 1,
-                   np.zeros(size, dtype=np.int64), rng, reduce=keep)
-    return last
+    return simulate_batch(params, cascade_depth(params) + 1,
+                          np.zeros(size, np.int64), rng, lambda window: None)
 
 
 def step_batch(
@@ -172,8 +167,8 @@ def simulate_batch(
     n: int,
     inits: np.ndarray,
     rng: np.random.Generator,
-    reduce=None,
-) -> np.ndarray | None:
+    reduce,
+) -> np.ndarray:
     """Simulate independent chains side by side for n steps.
 
     The steps run in blocks of T = max(1, _REDUCE_BUDGET // chains) (the
@@ -189,20 +184,17 @@ def simulate_batch(
     surviving family, not T.  The next block starts from X_T as one
     family, which is exact in law by the Markov property.
 
-    Without ``reduce`` returns the (chains, n+1) int64 path matrix.  With
-    it, the path is not stored: ``reduce(window)`` receives each block's
-    (T+1, chains) int64 window, whose row 0 is the previous block's last
-    state (X_0 for the first block), and None is returned.  Each window
-    is a fresh array; a reducer may keep it but must not write into it.
-    A value above 2**62 raises ``TailOverflowError`` before its block
-    reaches the reducer.
+    Every result goes through ``reduce(window)``: each block's (T+1,
+    chains) int64 window, row 0 the previous block's last state (X_0 for
+    the first), a fresh array that a reducer may keep but must not write
+    into.  A value above 2**62 raises ``TailOverflowError`` before its
+    block reaches the reducer.  Returns X_n, in an array of its own.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     x = np.asarray(inits, dtype=np.int64)
     chains = len(x)
     steps = max(1, _REDUCE_BUDGET // max(chains, 1))
-    out = np.empty((chains, n + 1), dtype=np.int64) if reduce is None else None
     for start in range(0, n, steps):
         t = min(steps, n - start)
         b = sample_immigration_many(params.immigration, rng.random((t, chains)))
@@ -224,12 +216,24 @@ def simulate_batch(
             size, pos = size[alive], pos[alive]
         if window.max(initial=0) > _OVERFLOW_LIMIT:
             raise TailOverflowError("trajectory exceeded the safe integer range")
-        if reduce is None:
-            out[:, start: start + t + 1] = window.T
-        else:
-            reduce(window)
+        reduce(window)
         x = window[t]
-    return out
+    return x.copy()
+
+
+def _store(n: int, width: int):
+    """A (width, n+1) int64 path matrix and the reducer that fills it,
+    window by window: the only code that stores a path.
+    """
+    paths = np.empty((width, n + 1), dtype=np.int64)
+    col = 0
+
+    def reduce(window):
+        nonlocal col
+        paths[:, col: col + len(window)] = window.T
+        col += len(window) - 1
+
+    return paths, reduce
 
 
 def block_keys(reps: int, seed) -> list[list[int]]:
@@ -243,14 +247,12 @@ def block_keys(reps: int, seed) -> list[list[int]]:
 
 
 def _run_block(job):
-    """One block's stationary start and run: its paths or reducer state."""
+    """One block's stationary start and run: its reducer state."""
     params, n, key, width, reducer = job
     rng = np.random.default_rng(key)
     inits = stationary_init_many(params, width, rng)
-    if reducer is None:
-        return simulate_batch(params, n, inits, rng)
     state, reduce = reducer(width)
-    simulate_batch(params, n, inits, rng, reduce=reduce)
+    simulate_batch(params, n, inits, rng, reduce)
     return state
 
 
@@ -259,30 +261,26 @@ def run_blocks(params: ModelParams, n: int, reps: int, seed, reducer=None,
     """Run ``reps`` stationary chains for n steps, ``_BLOCK`` to a block.
 
     Block b holds chains b*_BLOCK onward; it draws its stationary start
-    and its steps from ``default_rng(block_keys(reps, seed)[b])``.
-    Without ``reducer`` returns the (reps, n+1) paths.  With it, the
-    factory ``reducer(width)`` returns ``(state, reduce)`` for a block,
-    ``reduce`` takes the engine's windows, and the states are joined on
-    their last axis; it must pickle (module level, or a ``partial``).
-    The blocks are mapped over ``workers`` processes and written into the
-    result in order as they arrive, so nothing depends on ``workers``; one
-    block's result is returned as it is.  Neither holds a path twice.
+    and its steps from ``default_rng(block_keys(reps, seed)[b])``.  The
+    factory ``reducer(width)`` returns a block's ``(state, reduce)``; it
+    must pickle (module level, or a ``partial``), and the default
+    ``partial(_store, n)`` gives the (reps, n+1) paths.  The states,
+    chain first, are joined on axis 0 in block order as they arrive from
+    ``workers`` processes, so nothing depends on ``workers``; one block's
+    state is returned as it is.  Neither holds a path twice.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
+    reducer = reducer or partial(_store, n)
     jobs = [(params, n, key, min(_BLOCK, reps - b * _BLOCK), reducer)
             for b, key in enumerate(block_keys(reps, seed))]
     if len(jobs) == 1:
         return _run_block(jobs[0])
-    axis = 0 if reducer is None else -1
     lo = 0  # not enumerate: its reused tuple would hold the last block
     for block in _blocks(jobs, workers):
         if lo == 0:
-            shape = list(block.shape)
-            shape[axis] = reps
-            out = np.empty(shape, block.dtype)
-        np.moveaxis(out, axis, 0)[lo: lo + _BLOCK] = \
-            np.moveaxis(block, axis, 0)
+            out = np.empty((reps, *block.shape[1:]), block.dtype)
+        out[lo: lo + _BLOCK] = block
         lo += _BLOCK
         del block  # dropped before the next block runs
     return out
@@ -307,7 +305,9 @@ def simulate(
     params: ModelParams, n: int, init: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Simulate one path X_0 = init, ..., X_n as an (n+1,) int64 array."""
-    return simulate_batch(params, n, np.array([init], dtype=np.int64), rng)[0]
+    paths, reduce = _store(n, 1)
+    simulate_batch(params, n, np.array([init], dtype=np.int64), rng, reduce)
+    return paths[0]
 
 
 def scaling(params: ModelParams, n: int) -> float:

@@ -132,8 +132,8 @@ def run_stationary_batch(params: ModelParams, total_steps: int, chains: int,
                          seed, workers: int = 1) -> np.ndarray:
     """Stationary-start path bundle with ``total_steps`` transitions overall.
 
-    The budget is split over independent chains, run on ``run_blocks``
-    in stored mode; per-chain statistics must not straddle chain
+    The budget is split over independent chains, whose paths
+    ``run_blocks`` stores; per-chain statistics must not straddle chain
     boundaries, which every consumer below respects.
     """
     return run_blocks(params, total_steps // chains, chains, seed,

@@ -9,8 +9,9 @@ small runs of every stepping entry point must record
 the installed tracer, and one ``cdf_ratio`` point must record
 ``quadrature.gauss_kronrod`` spans and integrand spans with work.
 
-Every stage config the benchmark writes must also pass ``gwi``'s config
-checks: a rejected stage is a failed operation in every round.
+Every stage config the benchmark writes, at the stage's worker count,
+must also pass ``gwi``'s config checks: a rejected stage is a failed
+operation in every round.
 """
 
 import importlib.util
@@ -51,9 +52,9 @@ def step_spans():
 
 
 for name, run in (
-    ("stored", lambda: process.simulate_batch(params, 20, inits, rng)),
+    ("stored", lambda: process.run_blocks(params, 20, 5, 1)),
     ("reduced", lambda: process.simulate_batch(params, 20, inits, rng,
-                                               reduce=lambda w: None)),
+                                               lambda w: None)),
     ("stationary", lambda: process.stationary_init_many(params, 5, rng)),
     ("replications", lambda: estimator.replication_experiment(params, 50, 3, 1)),
 ):
@@ -130,6 +131,6 @@ def test_stage_configs_accepted(tmp_path, monkeypatch, size):
                 "".join(f"{k} = {v}\n" for k, v in cfg.items()))
             parsed = cli.parse_config(str(out / "run.cfg"))
             assert set(parsed) == set(cfg), (workload, st["name"])
-            cli.run(parsed, st["experiment"], out)
+            cli.run(parsed, st["experiment"], out, workers=st["workers"])
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config"]["seed"] == 16 * 7 + i

@@ -91,6 +91,18 @@ class TestConfig:
             with pytest.raises(click.UsageError, match=repr(key)):
                 parse_config(str(p))
 
+    def test_duplicate_key_rejected(self, runner, tmp_path):
+        # the last value used to win silently
+        p = tmp_path / "dup.cfg"
+        p.write_text("n = 10\nalpha = 1.4\nn = 20\n")
+        with pytest.raises(click.UsageError, match="'n' is set twice"):
+            parse_config(str(p))
+        out = tmp_path / "sim"
+        result = runner.invoke(main, ["simulate", "--config", str(p),
+                                      "--out", str(out)])
+        assert result.exit_code == 2 and "'n'" in result.output
+        assert not out.exists()
+
     def test_compensate_parsed_strictly(self, tmp_path):
         p = tmp_path / "comp.cfg"
         for word, want in (("true", True), ("YES", True), ("1", True),
@@ -190,9 +202,8 @@ _TINY = {
 _HEALTH_KEYS = {
     "simulate": {"init"},
     "estimate": {"defined_fraction"},
-    "limit-sample": {"eps", "compensate", "trunc_v1_mean_bound",
-                     "trunc_v2_sd_bound", "mean_terms_used",
-                     "min_terms_used", "points"},
+    "limit-sample": {"trunc_v1_mean_bound", "trunc_v2_sd_bound",
+                     "mean_terms_used", "min_terms_used", "points"},
     "cdf-table": {"tol", "cf_nodes", "cf_rule_error"},
     "cf-table": {"tol", "cf_nodes", "cf_rule_error"},
     "tail-validate": {"threshold", "n_events"},
@@ -272,6 +283,23 @@ class TestRegistry:
         with pytest.raises(click.UsageError, match=repr(key)):
             run(parse_config(str(cfg)), name, out)
         assert seen == [] and not (tmp_path / "runs").exists()
+
+    def test_workers_only_where_used(self, runner, tmp_path):
+        # --workers is offered by the three commands that map chain
+        # blocks over processes; run rejects workers > 1 for the others
+        parallel = {"estimate", "tail-validate", "laplace-validate"}
+        for name in EXPERIMENTS:
+            text = _run(runner, name, "--help").output
+            assert ("--workers" in text) == (name in parallel), name
+            if name in parallel:
+                continue
+            out = tmp_path / "runs" / name
+            result = runner.invoke(main, [name, "--workers", "2",
+                                          "--out", str(out)])
+            assert result.exit_code == 2 and "--workers" in result.output
+            with pytest.raises(click.UsageError, match=f"^{name} runs in"):
+                run({}, name, out, workers=2)
+            assert not (tmp_path / "runs").exists()
 
     def test_help_lists_keys(self, runner):
         # exactly the keys the command accepts, each with its default
@@ -494,7 +522,10 @@ class TestSimulate:
         assert rows[0] == "i,x,m"
         assert len(rows) == 1002  # header + X_0..X_1000
         meta = json.loads((out / "trajectory_meta.json").read_text())
-        mu_A, mu_B = meta["mu_A"], meta["mu_B"]
+        # the model's keys are recorded once, in the manifest's config
+        assert set(meta) == {"mu_B", "init", "init_mode"}
+        cfg = json.loads((out / "manifest.json").read_text())["config"]
+        mu_A, mu_B = cfg["mu_A"], meta["mu_B"]
         # the residual column must reconstruct exactly from the x column
         xs = [int(r.split(",")[1]) for r in rows[1:]]
         for i, row in enumerate(rows[2:], start=1):
@@ -513,7 +544,7 @@ class TestSimulate:
         rng = np.random.default_rng(key)
         init = process.stationary_init_many(ref_model, 1, rng)[0]
         assert init == meta["init"] == manifest["health"]["init"]
-        x = process.simulate(ref_model, meta["n"], init, rng)
+        x = process.simulate(ref_model, manifest["config"]["n"], init, rng)
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[1]) for r in rows] == x.tolist()
 
@@ -671,10 +702,12 @@ class TestLimitSample:
         v1 = np.array([float(r.split(",")[0]) for r in rows[1:]])
         assert np.all(v1 > 0)
         terms = np.array([int(r.split(",")[2]) for r in rows[1:]])
-        health = json.loads((out / "manifest.json").read_text())["health"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        # eps and compensate are recorded once, in the config
+        assert manifest["config"]["eps"] == 0.05
+        assert manifest["config"]["compensate"] is True
         v1_mean, v2_sd = truncation_bounds(LimitParams(1.5, 0.5, 0.5), 0.05)
-        assert health == {
-            "eps": 0.05, "compensate": True,
+        assert manifest["health"] == {
             "trunc_v1_mean_bound": pytest.approx(v1_mean, rel=1e-15),
             "trunc_v2_sd_bound": pytest.approx(v2_sd, rel=1e-15),
             "mean_terms_used": pytest.approx(terms.mean(), rel=1e-12),

@@ -10,6 +10,7 @@ from gwi.estimator import (
     replication_experiment,
 )
 from gwi.process import (
+    _store,
     block_keys,
     residuals,
     scaling,
@@ -19,6 +20,13 @@ from gwi.process import (
 )
 
 _EPS = np.finfo(np.float64).eps
+
+
+def _stored(params, n, inits, rng):
+    """The (chains, n+1) paths of ``simulate_batch``, kept by ``_store``."""
+    paths, reduce = _store(n, len(inits))
+    simulate_batch(params, n, inits, rng, reduce)
+    return paths
 
 
 def _oracle_terms(params, x):
@@ -184,7 +192,7 @@ class TestReplicationExperiment:
         for b, width in ((0, 250), (1, 50)):
             rng = np.random.default_rng([seed, b])
             inits = stationary_init_many(ref_model, width, rng)
-            paths.extend(simulate_batch(ref_model, n, inits, rng))
+            paths.extend(_stored(ref_model, n, inits, rng))
         assert np.array_equal(tab, cls_estimate(ref_model, np.array(paths)))
         ref = np.array([_oracle(ref_model, x) for x in paths])
         assert tab["defined"].all()

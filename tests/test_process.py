@@ -15,6 +15,7 @@ from gwi.distributions import (
 from gwi.process import (
     _BLOCK,
     _REDUCE_BUDGET,
+    _store,
     ModelParams,
     TailOverflowError,
     cascade_depth,
@@ -28,6 +29,13 @@ from gwi.process import (
 from gwi.tailproc import _count_reducer
 
 MU_B = 0.783712604605646503  # c*zeta(alpha) oracle at (1.5, 0.3)
+
+
+def _stored(params, n, inits, rng):
+    """The (chains, n+1) paths of ``simulate_batch``, kept by ``_store``."""
+    paths, reduce = _store(n, len(inits))
+    simulate_batch(params, n, inits, rng, reduce)
+    return paths
 
 
 def _model(mu_A):
@@ -143,6 +151,13 @@ class TestStationaryInit:
             draws, sample_immigration_many(params.immigration,
                                            fake.uniforms[0][-1]))
 
+    @pytest.mark.parametrize("size", [250, 300_000])
+    def test_draws_own_memory(self, ref_model, size):
+        # above _REDUCE_BUDGET chains the engine's window is (2, size): a
+        # view of its last row would keep twice the draws alive
+        draws = stationary_init_many(ref_model, size, np.random.default_rng(4))
+        assert draws.shape == (size,) and draws.base is None
+
     @pytest.mark.parametrize("family", OffspringLaw.FAMILIES)
     def test_matches_horner_loop(self, family):
         # 2e5 draws per side; each statistic at 4 standard errors
@@ -189,20 +204,20 @@ class TestSimulate:
         # bounded by P(B=0)^{n-1} plus MC noise
         n, reps = 8, 20000
         inits = stationary_init_many(ref_model, reps, rng)
-        paths = simulate_batch(ref_model, n, inits, rng)
+        paths = _stored(ref_model, n, inits, rng)
         frac = np.mean((paths[:, :-1] == 0).all(axis=1))
         bound = 0.7 ** (n - 1)
         stderr = math.sqrt(bound * (1 - bound) / reps)
         assert frac <= bound + 3 * stderr
 
     def test_residuals_batch(self, ref_model, rng):
-        paths = simulate_batch(ref_model, 20, np.array([1, 2, 3]), rng)
+        paths = _stored(ref_model, 20, np.array([1, 2, 3]), rng)
         m = residuals(ref_model, paths)
         assert m.shape == (3, 20)
 
 
 class TestReduceMode:
-    """The reduce mode of simulate_batch hands over the engine's windows."""
+    """simulate_batch hands every window of the engine to its reducer."""
 
     chains = 1024  # T = _REDUCE_BUDGET // chains steps per block
 
@@ -215,11 +230,11 @@ class TestReduceMode:
         rng = np.random.default_rng(31)
         inits = stationary_init_many(ref_model, self.chains, rng)
         state = rng.bit_generator.state
-        path = simulate_batch(ref_model, n, inits, rng)
+        path = _stored(ref_model, n, inits, rng)
         rng.bit_generator.state = state
         blocks = []
-        assert simulate_batch(ref_model, n, inits, rng,
-                              reduce=blocks.append) is None
+        last = simulate_batch(ref_model, n, inits, rng, blocks.append)
+        assert np.array_equal(last, path[:, -1])
         assert len(blocks) == math.ceil(n_blocks)
         assert all(b.dtype == np.int64 and b.shape[1] == self.chains
                    for b in blocks)
@@ -230,11 +245,26 @@ class TestReduceMode:
         joined = np.concatenate([blocks[0][:1]] + [b[1:] for b in blocks])
         assert np.array_equal(joined.T, path)
 
+    @pytest.mark.parametrize("chains, n", [(1, 300), (1024, 300),
+                                           (_REDUCE_BUDGET + 3, 3)])
+    def test_returns_last_states(self, ref_model, chains, n):
+        # X_n, the last column of the stored paths, in an array of its own
+        rng = np.random.default_rng(8)
+        inits = stationary_init_many(ref_model, chains, rng)
+        state = rng.bit_generator.state
+        path = _stored(ref_model, n, inits, rng)
+        rng.bit_generator.state = state
+        last = simulate_batch(ref_model, n, inits, rng, lambda window: None)
+        assert last.dtype == np.int64 and last.base is None
+        assert np.array_equal(last, path[:, -1])
+
     @pytest.mark.parametrize("reduce", [None, lambda block: None])
     def test_overflow_guard(self, ref_model, rng, reduce):
+        # None: the stored case, through ``_store``
         inits = np.array([5, 2**62 + 1], dtype=np.int64)
         with pytest.raises(TailOverflowError):
-            simulate_batch(ref_model, 3, inits, rng, reduce=reduce)
+            simulate_batch(ref_model, 3, inits, rng,
+                           reduce or _store(3, len(inits))[1])
 
     @pytest.mark.parametrize("n", [70, 64, 5])
     def test_immigration_drawn_per_block(self, ref_model, n):
@@ -246,7 +276,7 @@ class TestReduceMode:
         steps = 32
         chains = _REDUCE_BUDGET // steps
         fake = _RecordingRng(5)
-        path = simulate_batch(ref_model, n, np.arange(chains), fake)
+        path = _stored(ref_model, n, np.arange(chains), fake)
         starts = range(0, n, steps)
         sizes = [min(steps, n - s) for s in starts]
         assert [u.shape for u in fake.uniforms] == [(t, chains) for t in sizes]
@@ -264,8 +294,9 @@ class TestReduceMode:
             want_reduced += block + [("reduce", (t + 1, chains))]
         assert fake.calls == want
 
-        # reduce mode: the same draws, each window handed over after its
-        # block's last offspring call and before the next block's draws
+        # a recording reducer: the same draws, each window handed over
+        # after its block's last offspring call and before the next
+        # block's draws
         again = _RecordingRng(5)
         windows = []
 
@@ -287,9 +318,10 @@ class TestReduceMode:
             seen = []
             with pytest.raises(TailOverflowError):
                 simulate_batch(ref_model, n, inits, _DoublingRng(),
-                               reduce=seen.append if reduced else None)
+                               seen.append if reduced else
+                               _store(n, len(inits))[1])
             assert seen == []
-        path = simulate_batch(ref_model, 3, inits, _DoublingRng())
+        path = _stored(ref_model, 3, inits, _DoublingRng())
         assert path.tolist() == [[1, 2, 4, 8],
                                  [3 * 2**k for k in range(57, 61)]]
 
@@ -301,7 +333,7 @@ class TestRunBlocks:
     def _direct(params, n, width, key):
         rng = np.random.default_rng(key)
         inits = stationary_init_many(params, width, rng)
-        return simulate_batch(params, n, inits, rng)
+        return _stored(params, n, inits, rng)
 
     @pytest.mark.parametrize("seed", [7, [42, 2], [5, 0, 1]])
     @pytest.mark.parametrize("width", [1, _BLOCK])
@@ -329,14 +361,14 @@ class TestRunBlocks:
     def test_one_block_not_copied(self, ref_model, monkeypatch):
         # a single block's result comes back as it is: a copy of a stored
         # path would add its size to the peak memory
-        runs = []
+        stores = []
 
-        def spy(*args, **kwargs):
-            runs.append(simulate_batch(*args, **kwargs))
-            return runs[-1]
+        def spy(n, width):
+            stores.append(_store(n, width))
+            return stores[-1]
 
-        monkeypatch.setattr(process, "simulate_batch", spy)
-        assert run_blocks(ref_model, 50, 20, 3) is runs[-1]
+        monkeypatch.setattr(process, "_store", spy)
+        assert run_blocks(ref_model, 50, 20, 3) is stores[-1][0]
         states = []
 
         def reducer(width):
@@ -378,7 +410,7 @@ class TestAgreementInLaw:
         params = ModelParams(OffspringLaw(family, 0.5), ImmigrationLaw(1.5, 0.3))
         chains, n = _REDUCE_BUDGET // steps, 10 * steps + steps // 2
         stats = []
-        for engine, seed in ((simulate_batch, 1), (_per_step_loop, 2)):
+        for engine, seed in ((_stored, 1), (_per_step_loop, 2)):
             rng = np.random.default_rng(seed)
             inits = stationary_init_many(params, chains, rng)
             x = engine(params, n, inits, rng)[:, 1:]

@@ -7,7 +7,12 @@ from scipy.special import ndtr
 
 from gwi.distributions import ImmigrationLaw, OffspringLaw
 from gwi import tailproc
-from gwi.process import ModelParams, simulate_batch, stationary_init_many
+from gwi.process import (
+    ModelParams,
+    _store,
+    simulate_batch,
+    stationary_init_many,
+)
 from gwi.tailproc import (
     _ks,
     exceedance_counts,
@@ -21,6 +26,13 @@ from gwi.tailproc import (
 )
 
 FWD_NORM_ORACLE = 1.00849070261682964  # alpha=1.5, sigma_A2=0.25, mpmath
+
+
+def _stored(params, n, inits, rng):
+    """The (chains, n+1) paths of ``simulate_batch``, kept by ``_store``."""
+    paths, reduce = _store(n, len(inits))
+    simulate_batch(params, n, inits, rng, reduce)
+    return paths
 
 
 @pytest.fixture
@@ -274,7 +286,7 @@ class TestValidators:
         for b, width in ((0, 250), (1, 50)):
             rng = np.random.default_rng([5, 0, b])
             inits = stationary_init_many(ref_model, width, rng)
-            path.extend(simulate_batch(ref_model, n, inits, rng))
+            path.extend(_stored(ref_model, n, inits, rng))
         path = np.array(path)
         assert np.array_equal(counts, (path[:, 1:] > level).sum(axis=1))
 
