@@ -37,12 +37,12 @@ print(f"  front value Y_0 = {y[0, 3]:.3f}, backward survival K = {k[0]}")
 # condition a long run on large values and compare with the limit
 paths = run_stationary_batch(params, total_steps=2_000_000, chains=20, seed=5)
 report = validate_pseudo_tail(params, paths, quantile=0.999)
-print(f"\nconditioning on X > {report.threshold:.0f} "
-      f"({report.n_events} events):")
-print(f"  KS of scaled residual vs N(0, sigma_A2): {report.ks_w0_normal:.4f}")
-print(f"  mean one-step ratio {report.mean_ratio:.4f} "
+print(f"\nconditioning on X > {report['threshold']:.0f} "
+      f"({report['n_events']} events):")
+print(f"  KS of scaled residual vs N(0, sigma_A2): {report['ks_w0_normal']:.4f}")
+print(f"  mean one-step ratio {report['mean_ratio']:.4f} "
       f"(limit predicts mu_A = {params.mu_A})")
-print(f"  KS of overshoot vs Pareto(alpha): {report.ks_front_pareto:.4f}")
+print(f"  KS of overshoot vs Pareto(alpha): {report['ks_front_pareto']:.4f}")
 
 # Karamata truncated-moment ratios on the exact Pareto tail
 print("\nKaramata diagnostics at x = 1000 (exact Pareto tail):")

@@ -9,7 +9,6 @@ seeded, its health record and checksums of the emitted files.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -127,10 +126,16 @@ def _write_rows(fh, columns) -> None:
         fh.write(row * len(cells) % tuple(cells.ravel()))
 
 
+def _open(path: Path):
+    """``path`` opened for writing, after making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="\n")
+
+
 def write_csv(path: Path, header: list[str] | tuple[str, ...],
               columns: list[np.ndarray]) -> Path:
     """A CSV file with the given header row and numpy columns."""
-    with open(path, "w", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write(",".join(header) + "\n")
         _write_rows(fh, columns)
     return path
@@ -138,14 +143,15 @@ def write_csv(path: Path, header: list[str] | tuple[str, ...],
 
 def _write_trajectory(path: Path, x: np.ndarray, m: np.ndarray) -> Path:
     """trajectory.csv: the row ``i,X_i,M_i`` for each i, M_0 left empty."""
-    with open(path, "w", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write(f"i,x,m\n0,{x[0]},\n")
         _write_rows(fh, [np.arange(1, len(x)), x[1:], m])
     return path
 
 
 def _write_json(path: Path, record: dict) -> Path:
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    with _open(path) as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -253,12 +259,12 @@ def _tail_validate(cfg, out_dir, workers):
             f"exceedances for tail-validate ({exc})") from None
     path = _write_json(out_dir / "tail_report.json", {
         "statistic": "pseudo-tail conditional laws",
-        **dataclasses.asdict(report),
+        **report,
         "analytic": {"mean_ratio": params.mu_A},
     })
     keys = process.block_keys(cfg["chains"], cfg["seed"])
-    return [path], keys, {"threshold": report.threshold,
-                          "n_events": report.n_events}
+    return [path], keys, {"threshold": report["threshold"],
+                          "n_events": report["n_events"]}
 
 
 def _laplace_validate(cfg, out_dir, workers):
@@ -316,10 +322,10 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
     """Run one experiment of ``EXPERIMENTS`` at ``cfg`` over its defaults.
 
     A key of ``cfg`` it does not read, and ``workers > 1`` for an
-    experiment outside ``_PARALLEL``, are rejected before any directory
-    is made.  Returns the run's health record plus the manifest's path
-    and the output paths.  If the experiment raises, the directories
-    this call made are removed again while they are empty.
+    experiment outside ``_PARALLEL``, are rejected before it runs.
+    Returns the run's health record plus the manifest's path and the
+    output paths.  Each writer makes ``out_dir`` when it opens its file,
+    so a run that fails before its first write leaves nothing behind.
     """
     if experiment not in EXPERIMENTS:
         raise click.UsageError(f"unknown experiment {experiment!r}")
@@ -335,17 +341,8 @@ def run(cfg: dict, experiment: str, out_dir: Path, workers: int = 1) -> dict:
             f"{experiment} runs in one process; workers apply only to "
             f"{', '.join(_PARALLEL)}")
     cfg = {**defaults, **cfg}
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        files, rng_keys, health = fn(cfg, out_dir, workers)
-    except BaseException:
-        for d in made:
-            if any(d.iterdir()):
-                break
-            d.rmdir()
-        raise
+    files, rng_keys, health = fn(cfg, out_dir, workers)
     manifest = {
         "experiment": experiment,
         "config": dict(sorted(cfg.items())),
@@ -381,8 +378,8 @@ def _make_command(name):
                   default=None, help="flat key=value config file")
     @click.option("--seed", type=click.IntRange(min=0), default=None,
                   help="master seed (overrides config)")
-    @click.option("--out", "out_dir", type=click.Path(), default="out",
-                  help="output directory")
+    @click.option("--out", "out_dir", type=click.Path(file_okay=False),
+                  default="out", help="output directory")
     @(workers_option if name in _PARALLEL else lambda command: command)
     def command(config_path, seed, out_dir, workers=1):
         cfg = parse_config(config_path)

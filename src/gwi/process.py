@@ -72,7 +72,8 @@ _INIT_TOL = 1e-6
 # drawn at once, its families run until they die out or leave it, and the
 # block is handed to the reducer.  At the reference point on 2 shared
 # vCPUs, 2**17 cost 75-78 ns per chain-step at widths 1-500, against
-# 85-90 ns at 2**15 and 74-90 ns at 2**19.
+# 85-90 ns at 2**15 and 74-90 ns at 2**19.  Also the most chains one
+# piece of ``stationary_init_many`` runs at a time.
 _REDUCE_BUDGET = 2**17
 
 # Chains per ``run_blocks`` block, the unit of RNG keys and worker jobs.
@@ -142,11 +143,18 @@ def stationary_init_many(
     Truncated at the lags 0..I, the sum is the chain run from X_0 = 0 for
     I + 1 steps: X_1 = B_{-I}, then X <- thin(X) + B_{-i} for
     i = I-1 .. 0.  So the draws are the last states of ``size`` chains of
-    ``simulate_batch``.  I is ``cascade_depth(params)``, the smallest
-    depth whose mean remainder is below ``_INIT_TOL``.
+    ``simulate_batch``, run on at most ``_REDUCE_BUDGET`` chains at a
+    time so that the engine's chain-wide temporaries stay the size of
+    one piece.  I is ``cascade_depth(params)``, the smallest depth whose
+    mean remainder is below ``_INIT_TOL``.
     """
-    return simulate_batch(params, cascade_depth(params) + 1,
-                          np.zeros(size, np.int64), rng, lambda window: None)
+    draws = np.empty(size, np.int64)
+    for lo in range(0, size, _REDUCE_BUDGET):
+        piece = draws[lo: lo + _REDUCE_BUDGET]
+        piece[:] = simulate_batch(params, cascade_depth(params) + 1,
+                                  np.zeros(len(piece), np.int64), rng,
+                                  lambda window: None)
+    return draws
 
 
 def step_batch(

@@ -22,7 +22,6 @@ The forward tail process of the pair (X^{3/2}, X*M) has tail index
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -36,7 +35,6 @@ MIN_EVENTS = 1000  # least number of exceedances validate_pseudo_tail accepts
 
 __all__ = [
     "MIN_EVENTS",
-    "PseudoTailReport",
     "sample_tail_paths",
     "sample_forward_front_many",
     "forward_tail_normalization",
@@ -108,18 +106,15 @@ def sample_forward_front_many(
     inner, outer, shape, q_t1 = _front_mixture(alpha, sigma_A2)
     sigma = math.sqrt(sigma_A2)
     pick_outer = rng.random(size) < outer / (inner + outer)
+    n_out = int(pick_outer.sum())
     z = np.empty(size)
-    n_in = int(np.sum(~pick_outer))
-    if n_in:
-        lo = ndtr(-1.0 / sigma)
-        u = lo + (1.0 - 2.0 * lo) * rng.random(n_in)
-        z[~pick_outer] = sigma * ndtri(u)
-    n_out = int(np.sum(pick_outer))
-    if n_out:
-        t = gammainccinv(shape, q_t1 * rng.random(n_out))
-        mag = sigma * np.sqrt(2.0 * t)
-        sign = np.where(rng.random(n_out) < 0.5, -1.0, 1.0)
-        z[pick_outer] = sign * mag
+    lo = ndtr(-1.0 / sigma)
+    u = lo + (1.0 - 2.0 * lo) * rng.random(size - n_out)
+    z[~pick_outer] = sigma * ndtri(u)
+    t = gammainccinv(shape, q_t1 * rng.random(n_out))
+    mag = sigma * np.sqrt(2.0 * t)
+    sign = np.where(rng.random(n_out) < 0.5, -1.0, 1.0)
+    z[pick_outer] = sign * mag
     ypareto = rng.random(size) ** (-1.0 / (2.0 * alpha / 3.0))
     ytilde = ypareto / np.maximum(1.0, np.abs(z))
     return ytilde, z
@@ -155,30 +150,20 @@ def _ks(sample: np.ndarray, cdf) -> float:
     return float(d_plus if d_plus > d_minus else d_minus)
 
 
-@dataclass(frozen=True)
-class PseudoTailReport:
-    """Distances between conditional-on-exceedance laws and their limits."""
-
-    threshold: float
-    n_events: int
-    ks_w0_normal: float
-    mean_ratio: float
-    sd_ratio: float
-    ks_front_pareto: float
-
-
 def validate_pseudo_tail(
     params: ModelParams,
     paths: np.ndarray,
     quantile: float = 0.999,
-) -> PseudoTailReport:
+) -> dict:
     """Check the conditional limit law on events {X_t > threshold}.
 
     The threshold is the ``quantile`` of all path values.  Collects, at
     every exceedance time with a successor step, the scaled residual
     W'_0 = M_{t+1}/sqrt(X_t), the one-step ratio X_{t+1}/X_t, and the
     overshoot X_t/threshold, and compares them with N(0, sigma_A2),
-    mu_A, and Pareto(alpha) respectively.  Raises ``ValueError`` when
+    mu_A, and Pareto(alpha) respectively.  Returns a dict of
+    ``threshold``, ``n_events``, ``ks_w0_normal``, ``mean_ratio``,
+    ``sd_ratio`` and ``ks_front_pareto``.  Raises ``ValueError`` when
     fewer than ``MIN_EVENTS`` exceedances are found.
     """
     x = np.asarray(paths)
@@ -199,14 +184,9 @@ def validate_pseudo_tail(
     alpha = params.alpha
     ks_front = _ks(front, lambda y: 1.0 - y ** -alpha)
     ratio = x1 / x0
-    return PseudoTailReport(
-        threshold=threshold,
-        n_events=len(x0),
-        ks_w0_normal=ks_w0,
-        mean_ratio=float(ratio.mean()),
-        sd_ratio=float(ratio.std(ddof=1)),
-        ks_front_pareto=ks_front,
-    )
+    return {"threshold": threshold, "n_events": len(x0),
+            "ks_w0_normal": ks_w0, "mean_ratio": float(ratio.mean()),
+            "sd_ratio": float(ratio.std(ddof=1)), "ks_front_pareto": ks_front}
 
 
 def exceedance_counts(params: ModelParams, n: int, reps: int, level: float,

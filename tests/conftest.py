@@ -3,7 +3,7 @@ import pytest
 
 from gwi.distributions import ImmigrationLaw, OffspringLaw
 from gwi.limitlaw import LimitParams
-from gwi.process import ModelParams
+from gwi.process import ModelParams, _store, simulate_batch
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +24,16 @@ def ref_limit(ref_model) -> LimitParams:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def stored():
+    """``stored(params, n, inits, rng)``: the (chains, n+1) paths of
+    ``simulate_batch``, kept by ``_store``."""
+
+    def run(params, n, inits, rng):
+        paths, reduce = _store(n, len(inits))
+        simulate_batch(params, n, inits, rng, reduce)
+        return paths
+
+    return run

@@ -196,11 +196,11 @@ def test_acceptance_07_scaling_sequence(ref_model):
 
 def test_acceptance_08_conditional_residual_law(ref_model, tail_run):
     rep = validate_pseudo_tail(ref_model, tail_run, quantile=0.999)
-    dev = abs(rep.mean_ratio - ref_model.mu_A)
-    ok = rep.ks_w0_normal <= 0.05 and dev <= 0.02
-    _report(8, ok, f"KS(W'_0 vs N(0, sigma_A2)) = {rep.ks_w0_normal:.4f} "
+    dev = abs(rep["mean_ratio"] - ref_model.mu_A)
+    ok = rep["ks_w0_normal"] <= 0.05 and dev <= 0.02
+    _report(8, ok, f"KS(W'_0 vs N(0, sigma_A2)) = {rep['ks_w0_normal']:.4f} "
             f"(tol 0.05); |mean(X_1/X_0) - mu_A| = {dev:.4f} (tol 0.02); "
-            f"{rep.n_events} events")
+            f"{rep['n_events']} events")
 
 
 def test_acceptance_09_laplace_functional(ref_model):

@@ -28,6 +28,16 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture()
+def started(monkeypatch):
+    """The calls a test makes to ``process.stationary_init_many``, which
+    is replaced by a spy that starts no chain."""
+    seen = []
+    monkeypatch.setattr(process, "stationary_init_many",
+                        lambda *args: seen.append(args))
+    return seen
+
+
 def _run(runner, *args):
     result = runner.invoke(main, list(args), catch_exceptions=False)
     assert result.exit_code == 0, result.output
@@ -264,13 +274,10 @@ class TestRegistry:
         ("estimate", "compensate = yes"), ("cdf-table", "n = 100"),
         ("simulate", "quantile = 0.5")])
     def test_foreign_key_rejected(self, runner, tmp_path, monkeypatch,
-                                  name, line):
+                                  started, name, line):
         # a key only other commands read is rejected before anything runs
-        seen = []
-        monkeypatch.setattr(process, "stationary_init_many",
-                            lambda *args: seen.append(args))
         monkeypatch.setattr(limitlaw, "cdf_ratio",
-                            lambda *args: seen.append(args))
+                            lambda *args: started.append(args))
         cfg = tmp_path / "foreign.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "runs" / "x"
@@ -279,10 +286,10 @@ class TestRegistry:
         assert result.exit_code == 2
         key = line.split()[0]
         assert f"config key {key!r} is not read by {name}" in result.output
-        assert seen == [] and not (tmp_path / "runs").exists()
+        assert started == [] and not (tmp_path / "runs").exists()
         with pytest.raises(click.UsageError, match=repr(key)):
             run(parse_config(str(cfg)), name, out)
-        assert seen == [] and not (tmp_path / "runs").exists()
+        assert started == [] and not (tmp_path / "runs").exists()
 
     def test_workers_only_where_used(self, runner, tmp_path):
         # --workers is offered by the three commands that map chain
@@ -311,12 +318,9 @@ class TestRegistry:
                 for key, value in {**_SHARED_DEFAULTS, **own}.items()]
 
     def test_tail_validate_too_few_values_rejected(self, runner, tmp_path,
-                                                   monkeypatch):
+                                                   started):
         # n = 1000 over 100 chains leaves at most 2.1 of 1100 values
         # above the 0.999-quantile, short of tailproc.MIN_EVENTS
-        seen = []
-        monkeypatch.setattr(process, "stationary_init_many",
-                            lambda *args: seen.append(args))
         cfg = tmp_path / "tail.cfg"
         cfg.write_text("n = 1000\n")
         out = tmp_path / "tail"
@@ -325,13 +329,10 @@ class TestRegistry:
         assert result.exit_code == 2
         for key in ("'n'", "'chains'", "'quantile'", "2.1"):
             assert key in result.output
-        assert seen == [] and not out.exists()
+        assert started == [] and not out.exists()
 
     def test_tail_validate_needs_a_step_per_chain(self, runner, tmp_path,
-                                                  monkeypatch):
-        seen = []
-        monkeypatch.setattr(process, "stationary_init_many",
-                            lambda *args: seen.append(args))
+                                                  started):
         cfg = tmp_path / "tail.cfg"
         cfg.write_text("n = 99\nchains = 100\n")
         out = tmp_path / "tail"
@@ -339,7 +340,7 @@ class TestRegistry:
                                       "--out", str(out)])
         assert result.exit_code == 2
         assert "'n'" in result.output and "'chains'" in result.output
-        assert seen == [] and not out.exists()
+        assert started == [] and not out.exists()
 
     def test_tail_validate_tie_shortfall_is_usage_error(self, runner,
                                                           tmp_path):
@@ -356,11 +357,8 @@ class TestRegistry:
             assert word in result.output
         assert not (tmp_path / "runs").exists()
 
-    def test_laplace_rejects_one_rep(self, runner, tmp_path, monkeypatch):
+    def test_laplace_rejects_one_rep(self, runner, tmp_path, started):
         # the gap's stderr uses ddof = 1, so one chain would write NaN
-        seen = []
-        monkeypatch.setattr(process, "stationary_init_many",
-                            lambda *args: seen.append(args))
         cfg = tmp_path / "lap.cfg"
         cfg.write_text("n = 2000\nreps = 1\neps = 1\n")
         out = tmp_path / "lap"
@@ -368,28 +366,22 @@ class TestRegistry:
                                       "--out", str(out)])
         assert result.exit_code == 2
         assert "'reps'" in result.output
-        assert seen == [] and not out.exists()
+        assert started == [] and not out.exists()
 
-    def test_laplace_rejects_negative_s(self, runner, tmp_path, monkeypatch):
+    def test_laplace_rejects_negative_s(self, runner, tmp_path, started):
         # the functional is defined for f = s*1{x > eps} >= 0 only
-        seen = []
-        monkeypatch.setattr(process, "stationary_init_many",
-                            lambda *args: seen.append(args))
         cfg = tmp_path / "lap.cfg"
         cfg.write_text(_TINY["laplace-validate"] + "s_values = 0.5,-1\n")
         result = runner.invoke(main, ["laplace-validate", "--config", str(cfg),
                                       "--out", str(tmp_path / "lap")])
         assert result.exit_code == 2
         assert "'s_values'" in result.output
-        assert seen == []
+        assert started == []
 
     def test_laplace_validate_level_below_one_rejected(self, runner, tmp_path,
-                                                       monkeypatch):
+                                                       started):
         # n = 1000, eps = 0.01 put a_n*eps at 0.5994: every nonzero step
         # would be an exceedance
-        seen = []
-        monkeypatch.setattr(process, "stationary_init_many",
-                            lambda *args: seen.append(args))
         cfg = tmp_path / "lap.cfg"
         cfg.write_text("n = 1000\neps = 0.01\n")
         out = tmp_path / "lap"
@@ -398,7 +390,7 @@ class TestRegistry:
         assert result.exit_code == 2
         for key in ("'eps'", "'n'", "0.5994"):
             assert key in result.output
-        assert seen == [] and not out.exists()
+        assert started == [] and not out.exists()
 
     def test_rejected_config_leaves_no_directory(self, runner, tmp_path):
         cfg = tmp_path / "lap.cfg"
@@ -413,6 +405,15 @@ class TestRegistry:
         result = runner.invoke(main, ["laplace-validate", "--config", str(cfg),
                                       "--out", str(out)])
         assert result.exit_code == 2 and out.is_dir()
+
+    def test_out_file_rejected(self, runner, tmp_path, started):
+        # the output directory is made at the first write, so a file in
+        # its place is rejected before any chain starts
+        out = tmp_path / "taken"
+        out.write_text("")
+        result = runner.invoke(main, ["simulate", "--out", str(out)])
+        assert result.exit_code == 2 and "is a file" in result.output
+        assert started == []
 
 
 def _fmt(v) -> str:

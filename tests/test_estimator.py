@@ -10,23 +10,14 @@ from gwi.estimator import (
     replication_experiment,
 )
 from gwi.process import (
-    _store,
     block_keys,
     residuals,
     scaling,
     simulate,
-    simulate_batch,
     stationary_init_many,
 )
 
 _EPS = np.finfo(np.float64).eps
-
-
-def _stored(params, n, inits, rng):
-    """The (chains, n+1) paths of ``simulate_batch``, kept by ``_store``."""
-    paths, reduce = _store(n, len(inits))
-    simulate_batch(params, n, inits, rng, reduce)
-    return paths
 
 
 def _oracle_terms(params, x):
@@ -184,7 +175,7 @@ class TestReplicationExperiment:
         b = replication_experiment(ref_model, 100, 600, seed=9, workers=3)
         assert np.array_equal(a, b)
 
-    def test_rows_match_reference(self, ref_model):
+    def test_rows_match_reference(self, ref_model, stored):
         # 300 reps: block 0 holds 250 chains, block 1 the other 50
         n, reps, seed = 2000, 300, 12
         tab = replication_experiment(ref_model, n, reps, seed)
@@ -192,7 +183,7 @@ class TestReplicationExperiment:
         for b, width in ((0, 250), (1, 50)):
             rng = np.random.default_rng([seed, b])
             inits = stationary_init_many(ref_model, width, rng)
-            paths.extend(_stored(ref_model, n, inits, rng))
+            paths.extend(stored(ref_model, n, inits, rng))
         assert np.array_equal(tab, cls_estimate(ref_model, np.array(paths)))
         ref = np.array([_oracle(ref_model, x) for x in paths])
         assert tab["defined"].all()

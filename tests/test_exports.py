@@ -42,3 +42,12 @@ def test_import_leaves_heavy_scipy_unloaded():
                             capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)})
     assert result.stdout.split() == []
+
+
+def test_version_matches_pyproject():
+    # every manifest records ``gwi.__version__`` as its build
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert gwi.__version__ == project["version"]

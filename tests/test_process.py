@@ -31,13 +31,6 @@ from gwi.tailproc import _count_reducer
 MU_B = 0.783712604605646503  # c*zeta(alpha) oracle at (1.5, 0.3)
 
 
-def _stored(params, n, inits, rng):
-    """The (chains, n+1) paths of ``simulate_batch``, kept by ``_store``."""
-    paths, reduce = _store(n, len(inits))
-    simulate_batch(params, n, inits, rng, reduce)
-    return paths
-
-
 def _model(mu_A):
     """Poisson offspring of mean mu_A, immigration at (1.5, 0.3)."""
     return ModelParams(OffspringLaw("poisson", mu_A), ImmigrationLaw(1.5, 0.3))
@@ -153,10 +146,24 @@ class TestStationaryInit:
 
     @pytest.mark.parametrize("size", [250, 300_000])
     def test_draws_own_memory(self, ref_model, size):
-        # above _REDUCE_BUDGET chains the engine's window is (2, size): a
-        # view of its last row would keep twice the draws alive
+        # the engine's window is (22, 250) at 250 draws and (2, 2**17)
+        # for a full piece of a larger start: a view of its last row
+        # would keep the whole window alive
         draws = stationary_init_many(ref_model, size, np.random.default_rng(4))
         assert draws.shape == (size,) and draws.base is None
+
+    def test_large_start_memory(self, ref_model):
+        # starts come in pieces of at most _REDUCE_BUDGET chains, so the
+        # peak is the draws plus one piece's working set (128 bytes a
+        # chain), not a multiple of the draws
+        tracemalloc.start()
+        try:
+            draws = stationary_init_many(ref_model, 600_000,
+                                         np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= draws.nbytes + _REDUCE_BUDGET * 128, peak / 2**20
 
     @pytest.mark.parametrize("family", OffspringLaw.FAMILIES)
     def test_matches_horner_loop(self, family):
@@ -199,19 +206,19 @@ class TestSimulate:
         stderr = means.std(ddof=1) / math.sqrt(len(means))
         assert abs(x.mean() - ref_model.stationary_mean) < 3 * stderr
 
-    def test_positive_denominator_probability(self, ref_model, rng):
+    def test_positive_denominator_probability(self, ref_model, rng, stored):
         # fraction of stationary length-8 windows with all-zero history is
         # bounded by P(B=0)^{n-1} plus MC noise
         n, reps = 8, 20000
         inits = stationary_init_many(ref_model, reps, rng)
-        paths = _stored(ref_model, n, inits, rng)
+        paths = stored(ref_model, n, inits, rng)
         frac = np.mean((paths[:, :-1] == 0).all(axis=1))
         bound = 0.7 ** (n - 1)
         stderr = math.sqrt(bound * (1 - bound) / reps)
         assert frac <= bound + 3 * stderr
 
-    def test_residuals_batch(self, ref_model, rng):
-        paths = _stored(ref_model, 20, np.array([1, 2, 3]), rng)
+    def test_residuals_batch(self, ref_model, rng, stored):
+        paths = stored(ref_model, 20, np.array([1, 2, 3]), rng)
         m = residuals(ref_model, paths)
         assert m.shape == (3, 20)
 
@@ -222,7 +229,7 @@ class TestReduceMode:
     chains = 1024  # T = _REDUCE_BUDGET // chains steps per block
 
     @pytest.mark.parametrize("n_blocks", [2, 2.5, 0.5])
-    def test_blocks_concatenate_to_path(self, ref_model, n_blocks):
+    def test_blocks_concatenate_to_path(self, ref_model, stored, n_blocks):
         # windows are (T+1, chains), row 0 the previous block's last row;
         # kept without a copy, they still join to the stored path
         steps = _REDUCE_BUDGET // self.chains
@@ -230,7 +237,7 @@ class TestReduceMode:
         rng = np.random.default_rng(31)
         inits = stationary_init_many(ref_model, self.chains, rng)
         state = rng.bit_generator.state
-        path = _stored(ref_model, n, inits, rng)
+        path = stored(ref_model, n, inits, rng)
         rng.bit_generator.state = state
         blocks = []
         last = simulate_batch(ref_model, n, inits, rng, blocks.append)
@@ -247,12 +254,12 @@ class TestReduceMode:
 
     @pytest.mark.parametrize("chains, n", [(1, 300), (1024, 300),
                                            (_REDUCE_BUDGET + 3, 3)])
-    def test_returns_last_states(self, ref_model, chains, n):
+    def test_returns_last_states(self, ref_model, stored, chains, n):
         # X_n, the last column of the stored paths, in an array of its own
         rng = np.random.default_rng(8)
         inits = stationary_init_many(ref_model, chains, rng)
         state = rng.bit_generator.state
-        path = _stored(ref_model, n, inits, rng)
+        path = stored(ref_model, n, inits, rng)
         rng.bit_generator.state = state
         last = simulate_batch(ref_model, n, inits, rng, lambda window: None)
         assert last.dtype == np.int64 and last.base is None
@@ -267,7 +274,7 @@ class TestReduceMode:
                            reduce or _store(3, len(inits))[1])
 
     @pytest.mark.parametrize("n", [70, 64, 5])
-    def test_immigration_drawn_per_block(self, ref_model, n):
+    def test_immigration_drawn_per_block(self, ref_model, stored, n):
         # with zero offspring X_i = B_i: the path must be the recorded
         # (t, chains) uniforms mapped through the immigration kernel.  Each
         # block makes one random call, then one offspring call for its
@@ -276,7 +283,7 @@ class TestReduceMode:
         steps = 32
         chains = _REDUCE_BUDGET // steps
         fake = _RecordingRng(5)
-        path = _stored(ref_model, n, np.arange(chains), fake)
+        path = stored(ref_model, n, np.arange(chains), fake)
         starts = range(0, n, steps)
         sizes = [min(steps, n - s) for s in starts]
         assert [u.shape for u in fake.uniforms] == [(t, chains) for t in sizes]
@@ -310,7 +317,7 @@ class TestReduceMode:
         assert np.array_equal(windows[0][0], np.arange(chains))
 
     @pytest.mark.parametrize("reduced", [False, True])
-    def test_overflow_guard_mid_block(self, ref_model, reduced):
+    def test_overflow_guard_mid_block(self, ref_model, stored, reduced):
         # X doubles from 3*2**57 and passes 2**62 at step 4, inside the
         # first block: the run raises and no block reaches the reducer
         inits = np.array([1, 3 * 2**57], dtype=np.int64)
@@ -321,7 +328,7 @@ class TestReduceMode:
                                seen.append if reduced else
                                _store(n, len(inits))[1])
             assert seen == []
-        path = _stored(ref_model, 3, inits, _DoublingRng())
+        path = stored(ref_model, 3, inits, _DoublingRng())
         assert path.tolist() == [[1, 2, 4, 8],
                                  [3 * 2**k for k in range(57, 61)]]
 
@@ -329,27 +336,34 @@ class TestReduceMode:
 class TestRunBlocks:
     """The block farm: stationary chains in blocks of ``_BLOCK``."""
 
-    @staticmethod
-    def _direct(params, n, width, key):
-        rng = np.random.default_rng(key)
-        inits = stationary_init_many(params, width, rng)
-        return _stored(params, n, inits, rng)
+    @pytest.fixture
+    def direct(self, stored):
+        """``direct(params, n, width, key)``: one block started and run
+        on ``default_rng(key)``, outside the farm."""
+
+        def run(params, n, width, key):
+            rng = np.random.default_rng(key)
+            inits = stationary_init_many(params, width, rng)
+            return stored(params, n, inits, rng)
+
+        return run
 
     @pytest.mark.parametrize("seed", [7, [42, 2], [5, 0, 1]])
     @pytest.mark.parametrize("width", [1, _BLOCK])
-    def test_one_block_is_the_direct_stream(self, ref_model, seed, width):
+    def test_one_block_is_the_direct_stream(self, ref_model, direct, seed,
+                                            width):
         # SeedSequence pads its entropy with zero words up to four, so
         # block 0's key [*seed, 0] draws the stream of default_rng(seed):
         # up to _BLOCK chains, the farm is the direct start-and-run
         assert np.array_equal(run_blocks(ref_model, 30, width, seed),
-                              self._direct(ref_model, 30, width, seed))
+                              direct(ref_model, 30, width, seed))
 
-    def test_blocks_join_in_order(self, ref_model):
+    def test_blocks_join_in_order(self, ref_model, direct):
         # 300 chains: block 0 holds 250 on key [9, 0], block 1 the other
         # 50 on [9, 1], whatever the worker count and the mode
         n, level = 40, 3
-        want = np.concatenate([self._direct(ref_model, n, 250, [9, 0]),
-                               self._direct(ref_model, n, 50, [9, 1])])
+        want = np.concatenate([direct(ref_model, n, 250, [9, 0]),
+                               direct(ref_model, n, 50, [9, 1])])
         counts = (want[:, 1:] > level).sum(axis=1)
         for workers in (1, 2):
             assert np.array_equal(
@@ -406,11 +420,11 @@ class TestAgreementInLaw:
 
     @pytest.mark.parametrize("steps", [4, 64])
     @pytest.mark.parametrize("family", OffspringLaw.FAMILIES)
-    def test_matches_per_step_loop(self, family, steps):
+    def test_matches_per_step_loop(self, stored, family, steps):
         params = ModelParams(OffspringLaw(family, 0.5), ImmigrationLaw(1.5, 0.3))
         chains, n = _REDUCE_BUDGET // steps, 10 * steps + steps // 2
         stats = []
-        for engine, seed in ((_stored, 1), (_per_step_loop, 2)):
+        for engine, seed in ((stored, 1), (_per_step_loop, 2)):
             rng = np.random.default_rng(seed)
             inits = stationary_init_many(params, chains, rng)
             x = engine(params, n, inits, rng)[:, 1:]

@@ -9,8 +9,6 @@ from gwi.distributions import ImmigrationLaw, OffspringLaw
 from gwi import tailproc
 from gwi.process import (
     ModelParams,
-    _store,
-    simulate_batch,
     stationary_init_many,
 )
 from gwi.tailproc import (
@@ -26,13 +24,6 @@ from gwi.tailproc import (
 )
 
 FWD_NORM_ORACLE = 1.00849070261682964  # alpha=1.5, sigma_A2=0.25, mpmath
-
-
-def _stored(params, n, inits, rng):
-    """The (chains, n+1) paths of ``simulate_batch``, kept by ``_store``."""
-    paths, reduce = _store(n, len(inits))
-    simulate_batch(params, n, inits, rng, reduce)
-    return paths
 
 
 @pytest.fixture
@@ -128,6 +119,23 @@ class TestForwardTail:
         emp = np.mean(np.abs(z0) > 1.5)
         stderr = math.sqrt(want * (1 - want) / len(z0))
         assert abs(emp - want) < 3.5 * stderr
+
+    def test_front_single_draw(self):
+        # at size 1 one component of the mixture draws nothing; over 40
+        # seeds each component makes the draw (|Z0| <= 1 inside, > 1 out)
+        alpha, s2 = 1.5, 1.0
+        outside = set()
+        for seed in range(40):
+            (yt, z0), (yt2, z02) = (
+                sample_forward_front_many(alpha, s2, 1,
+                                          np.random.default_rng(seed))
+                for _ in range(2))
+            assert yt.shape == z0.shape == (1,)
+            assert np.all(np.isfinite(yt)) and np.all(np.isfinite(z0))
+            assert yt[0] > 0
+            assert np.array_equal(yt, yt2) and np.array_equal(z0, z02)
+            outside.add(bool(abs(z0[0]) > 1.0))
+        assert outside == {False, True}
 
 
 # the band series theta^2 eps^-alpha sum_{m>=1} (1 - e^{-sm}) mu_A^{alpha(m-1)}
@@ -240,10 +248,12 @@ class TestValidators:
 
     def test_pseudo_tail_smoke(self, ref_model, paths):
         rep = validate_pseudo_tail(ref_model, paths, quantile=0.995)
-        assert rep.n_events >= tailproc.MIN_EVENTS
-        assert 0 <= rep.ks_w0_normal <= 1
-        assert 0 <= rep.ks_front_pareto <= 1
-        assert abs(rep.mean_ratio - ref_model.mu_A) < 0.5
+        assert set(rep) == {"threshold", "n_events", "ks_w0_normal",
+                            "mean_ratio", "sd_ratio", "ks_front_pareto"}
+        assert rep["n_events"] >= tailproc.MIN_EVENTS
+        assert 0 <= rep["ks_w0_normal"] <= 1
+        assert 0 <= rep["ks_front_pareto"] <= 1
+        assert abs(rep["mean_ratio"] - ref_model.mu_A) < 0.5
 
     def test_insufficient_events(self, ref_model, paths):
         with pytest.raises(ValueError, match="insufficient conditioning"):
@@ -277,7 +287,7 @@ class TestValidators:
         assert a == b
 
     @pytest.mark.parametrize("n", [500, 3])
-    def test_exceedance_counts_match_path(self, ref_model, n):
+    def test_exceedance_counts_match_path(self, ref_model, stored, n):
         # 300 chains: 500 steps span several reduce blocks, 3 fit in one;
         # the chains cross a farm block boundary at 250, keyed [5, 0, b]
         reps, level = 300, 10.0
@@ -286,7 +296,7 @@ class TestValidators:
         for b, width in ((0, 250), (1, 50)):
             rng = np.random.default_rng([5, 0, b])
             inits = stationary_init_many(ref_model, width, rng)
-            path.extend(_stored(ref_model, n, inits, rng))
+            path.extend(stored(ref_model, n, inits, rng))
         path = np.array(path)
         assert np.array_equal(counts, (path[:, 1:] > level).sum(axis=1))
 
