@@ -33,15 +33,6 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True,
 _SHARED = {"alpha": 1.5, "mu_A": 0.5, "c": 0.3, "offspring": "poisson",
            "seed": 0}
 
-# Open intervals (lo, hi) the float keys must lie in, and the least
-# value of each int key.
-_OPEN_RANGES = {
-    "alpha": (1.0, 2.0), "mu_A": (0.0, 1.0), "c": (0.0, 1.0),
-    "eps": (0.0, math.inf), "quantile": (0.0, 1.0),
-    "x_min": (-math.inf, math.inf), "x_max": (-math.inf, math.inf),
-}
-_INT_MINIMA = {"n": 1, "reps": 1, "x_points": 1, "chains": 1, "seed": 0}
-
 
 def _floats(spec: str) -> list[float]:
     """Comma-separated finite floats, at least one; else ``ValueError``."""
@@ -51,25 +42,52 @@ def _floats(spec: str) -> list[float]:
     return vals
 
 
-_PARSERS = {bool: lambda word: _BOOL_WORDS[word.lower()], int: int,
-            float: float, str: str}
-_TYPE_NAMES = {bool: "one of true/false/1/0/yes/no", int: "of type int",
-               float: "of type float"}
+def _checked(parse, ok):
+    """A parser of ``parse(word)`` that raises ``ValueError`` unless ``ok``."""
+    def parser(word: str):
+        value = parse(word)
+        if not ok(value):
+            raise ValueError(word)
+        return value
+    return parser
+
+
+_UNIT = _checked(float, lambda v: 0.0 < v < 1.0), "a float in (0, 1)"
+_FINITE = _checked(float, math.isfinite), "a finite float"
+_COUNT = _checked(int, lambda v: v >= 1), "an int >= 1"
+_LIST = _checked(str, _floats), "comma-separated finite floats"
+
+# Every config key: a parser raising ``ValueError`` on a bad value, and
+# what a good value is.
+_KEYS = {
+    "alpha": (_checked(float, lambda v: 1.0 < v < 2.0), "a float in (1, 2)"),
+    "mu_A": _UNIT, "c": _UNIT, "quantile": _UNIT,
+    "eps": (_checked(float, lambda v: 0.0 < v < math.inf),
+            "a float in (0, inf)"),
+    "x_min": _FINITE, "x_max": _FINITE,
+    "n": _COUNT, "reps": _COUNT, "x_points": _COUNT, "chains": _COUNT,
+    "seed": (_checked(int, lambda v: v >= 0), "an int >= 0"),
+    "offspring": (
+        _checked(str, lambda w: w.lower() in dist.OffspringLaw.FAMILIES),
+        f"one of {'/'.join(dist.OffspringLaw.FAMILIES)}"),
+    "compensate": (_checked(lambda w: _BOOL_WORDS.get(w.lower()),
+                            lambda v: v is not None),
+                   "one of true/false/1/0/yes/no"),
+    "s_values": _LIST, "t_values": _LIST,
+}
 
 
 def parse_config(path: str | None) -> dict:
     """The keys a flat key=value config file sets; '#' starts a comment.
 
-    ``run`` adds the experiment's defaults and rejects a key it does not
-    read.  A value is parsed into the type of the key's default: a bool
-    is true/false/1/0/yes/no in any case, ``offspring`` a family of
-    ``OffspringLaw``, and ``s_values`` and ``t_values`` comma-separated
-    finite floats.  An unknown key, a key set twice, a value of the wrong
-    type or one out of range raises ``click.UsageError`` naming the key.
+    Each value is parsed by its key's entry in ``_KEYS``: a float, an
+    int, an ``offspring`` family of ``OffspringLaw`` in any case (kept as
+    written), a ``compensate`` bool from true/false/1/0/yes/no in any
+    case, or ``s_values`` and ``t_values`` kept as strings of
+    comma-separated finite floats.  An unknown key, a key set twice or a
+    bad value raises ``click.UsageError`` naming the key.  ``run`` adds
+    the experiment's defaults and rejects a key it does not read.
     """
-    # every key some experiment reads, at one of its (in-range) defaults
-    cfg = {key: value for _, own in EXPERIMENTS.values()
-           for key, value in {**_SHARED, **own}.items()}
     given = {}
     for raw in Path(path).read_text().splitlines() if path else ():
         line = raw.split("#", 1)[0].strip()
@@ -78,36 +96,16 @@ def parse_config(path: str | None) -> dict:
         if "=" not in line:
             raise click.UsageError(f"config line not key=value: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in cfg:
+        if key not in _KEYS:
             raise click.UsageError(f"unknown config key {key!r}")
         if key in given:
             raise click.UsageError(f"config key {key!r} is set twice")
-        kind = type(cfg[key])
+        parse, what = _KEYS[key]
         try:
-            given[key] = _PARSERS[kind](val)
-        except (ValueError, KeyError):
-            raise click.UsageError(
-                f"config key {key!r} must be {_TYPE_NAMES[kind]}, "
-                f"got {val!r}") from None
-    cfg.update(given)
-    for key, (lo, hi) in _OPEN_RANGES.items():
-        if not lo < cfg[key] < hi:
-            raise click.UsageError(f"config key {key!r} must lie in "
-                                   f"({lo:g}, {hi:g}), got {cfg[key]!r}")
-    for key, least in _INT_MINIMA.items():
-        if cfg[key] < least:
-            raise click.UsageError(f"config key {key!r} must be >= {least}, "
-                                   f"got {cfg[key]}")
-    if cfg["offspring"].lower() not in dist.OffspringLaw.FAMILIES:
-        raise click.UsageError(
-            f"config key 'offspring' must be one of "
-            f"{'/'.join(dist.OffspringLaw.FAMILIES)}, got {cfg['offspring']!r}")
-    for key in ("s_values", "t_values"):
-        try:
-            _floats(cfg[key])
+            given[key] = parse(val)
         except ValueError:
-            raise click.UsageError(f"config key {key!r} must be comma-separated"
-                                   f" finite floats, got {cfg[key]!r}") from None
+            raise click.UsageError(
+                f"config key {key!r} must be {what}, got {val!r}") from None
     return given
 
 

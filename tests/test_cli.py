@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import click
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 from scipy import stats
 
 import gwi
-from gwi import limitlaw, process, tailproc
+from gwi import cli, limitlaw, process, tailproc
 from gwi.cli import (
     _SHARED,
     EXPERIMENTS,
@@ -73,11 +74,18 @@ class TestConfig:
             assert not own.keys() & _SHARED.keys()
         assert sum(len(_SHARED) + len(own)
                    for _, own in EXPERIMENTS.values()) == 53
-        # a key read by several commands is parsed into one type
-        kinds = {}
+
+    def test_key_table_matches_commands(self, tmp_path):
+        # one rule per key a command reads, and every default written in
+        # a config file reads back as itself, of its own type
+        assert set(cli._KEYS) == set(_SHARED).union(
+            *(own for _, own in EXPERIMENTS.values()))
+        p = tmp_path / "default.cfg"
         for _, own in EXPERIMENTS.values():
-            for key, value in own.items():
-                assert kinds.setdefault(key, type(value)) is type(value), key
+            for key, value in {**_SHARED, **own}.items():
+                p.write_text(f"{key} = {value}\n")
+                parsed = parse_config(str(p))[key]
+                assert parsed == value and type(parsed) is type(value), key
 
     def test_file_and_comments(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -88,7 +96,7 @@ class TestConfig:
     def test_bad_line(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("alpha 1.3\n")
-        with pytest.raises(Exception):
+        with pytest.raises(click.UsageError, match="not key=value"):
             parse_config(str(p))
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -168,6 +176,51 @@ class TestConfig:
                      "offspring = Geometric"):
             p.write_text(line + "\n")
             parse_config(str(p))
+
+    @pytest.mark.parametrize("key,value", [
+        *(("alpha", v) for v in ("1", "1.0000000000000002",
+                                 "1.9999999999999998", "2", "nan", "inf")),
+        *((key, v) for key in ("mu_A", "c")
+          for v in ("0", "5e-324", "0.9999999999999999", "1", "nan")),
+        *(("offspring", v) for v in ("Geometric", "BERNOULLI", "poison", "")),
+    ])
+    def test_accepted_exactly_where_model_builds(self, tmp_path, key, value):
+        # the CLI's rule for a model key agrees with the model's own check
+        p = tmp_path / "model.cfg"
+        p.write_text(f"{key} = {value}\n")
+        try:
+            parse_config(str(p))
+            accepted = True
+        except click.UsageError:
+            accepted = False
+        cfg = {**_SHARED, key: value if key == "offspring" else float(value)}
+        try:
+            cli._model(cfg)
+            cli._limit_params(cfg)
+            builds = True
+        except ValueError:
+            builds = False
+        assert accepted == builds
+
+    def test_readme_key_table(self, tmp_path):
+        # README's shared keys and its table of each command's own keys,
+        # read through parse_config, are the registry's defaults
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        p = tmp_path / "readme.cfg"
+
+        def parsed(text):
+            p.write_text("".join(
+                f"{cell}\n" for cell in re.findall(r"`(\w+ = [^`]*)`", text)))
+            return parse_config(str(p))
+
+        shared = re.search(r"Every command accepts (.*?) plus its own keys",
+                           readme, re.S).group(1)
+        assert parsed(shared) == _SHARED
+        rows = dict(re.findall(r"^\| `([a-z-]+)` +\|(.*)\|$", readme, re.M))
+        assert set(rows) == set(EXPERIMENTS)
+        for name, (_, own) in EXPERIMENTS.items():
+            assert parsed(rows[name]) == own, name
 
     def test_bad_value_names_key(self, tmp_path):
         for line in ("n = 1e5", "alpha = heavy"):
@@ -762,7 +815,8 @@ class TestCompare:
         p = tmp_path / "short.csv"
         np.savetxt(p, np.arange(10, dtype=float), fmt="%.10g")
         result = runner.invoke(main, ["compare", str(p), str(p)])
-        assert result.exit_code != 0
+        assert result.exit_code == 2
+        assert "at least 500 rows" in result.output
 
     def test_matches_scipy(self, runner, tmp_path):
         rng = np.random.default_rng(16)
