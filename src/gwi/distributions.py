@@ -5,9 +5,17 @@ P(B = 0) = 1 - c and P(B >= k) = c * k**(-alpha) exactly for integers
 k >= 1, with tail index alpha in (1, 2) so the mean is finite but the
 variance is not.  Offspring counts come from one of three parametric
 families (Bernoulli, Poisson, Geometric) chosen so the total offspring
-of ``parents`` individuals has a closed-form law and can be drawn in
-O(1) regardless of the population size.  ``karamata_ratio`` is the
-truncated-moment tail ratio of the exact Pareto law, in closed form.
+of ``parents`` individuals has a closed-form law: Binomial, Poisson or
+negative binomial.  Most live families are small, so each
+``OffspringLaw`` tabulates that law's CDF for 1 .. 31 parents and
+0 .. 63 offspring, and a family is drawn by indexed-search inversion of
+one uniform (Chen & Asau 1974; Devroye 1986, ch. III): a 256-cell guide
+per row gives the first candidate, and the draw steps forward while the
+uniform is at or past the CDF.  A family the table does not cover, or a
+uniform past its row's last tabulated value, is drawn by the
+``Generator`` call for its law, in O(1) regardless of the population
+size.  ``karamata_ratio`` is the truncated-moment tail ratio of the
+exact Pareto law, in closed form.
 """
 
 from __future__ import annotations
@@ -32,6 +40,17 @@ __all__ = [
 # the CDF jump exactly (e.g. 1-u == c in real arithmetic) are not pushed
 # to the lower step by one ulp of rounding in 1-u.
 _BOUNDARY_RTOL = 1e-12
+
+# Offspring table: rows z = 0 .. _ZMAX parents, columns k < _KCOLS
+# offspring plus a sentinel column of +inf, and _GUIDE guide cells per
+# row.  A row is tabulated only if its law's mass past the last column
+# is below _TAIL_MASS, summed over the pmf recurrence continued to
+# _KTAIL terms (far enough that the rest is negligible next to it).
+_ZMAX = 31
+_KCOLS = 64
+_GUIDE = 256
+_TAIL_MASS = 1e-16
+_KTAIL = 4 * _KCOLS
 
 
 @dataclass(frozen=True)
@@ -69,6 +88,9 @@ class OffspringLaw:
     family: str
     mu_A: float
     sigma_A2: float = field(init=False)
+    # indexed-search tables of ``sample_aggregate_offspring_many``
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _guide: np.ndarray = field(init=False, repr=False, compare=False)
 
     FAMILIES = ("bernoulli", "poisson", "geometric")
 
@@ -86,6 +108,51 @@ class OffspringLaw:
             "geometric": mu * (1.0 + mu),
         }[fam]
         object.__setattr__(self, "sigma_A2", var)
+        cdf, guide = _offspring_tables(fam, mu)
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_guide", guide)
+
+
+def _offspring_tables(family: str, mu: float):
+    """Flat CDF table and guide of the aggregate offspring law.
+
+    Row z holds P(S_z <= k) for k < _KCOLS, S_z the total offspring of z
+    parents, from the pmf recurrence p_k = p_(k-1) * r_k: Poisson(z*mu),
+    Binomial(z, mu), or NB(z, 1/(1+mu)) counting failures.  Row
+    _ZMAX + 1 stands for every larger family.  Guide cell j of row z is
+    the flat index of the first k with CDF above j/_GUIDE; in a row that
+    is not tabulated, and in row _ZMAX + 1, it is the row's sentinel, so
+    its draws come out as k = _KCOLS and fall back.  A row is tabulated
+    when its mass past k = _KCOLS - 1 is below _TAIL_MASS and its first
+    term p_0 is a normal float (else the recurrence loses its digits,
+    as the Binomial row does for mu_A near 1).
+    """
+    rows, width = _ZMAX + 2, _KCOLS + 1
+    z = np.arange(rows, dtype=np.float64)[:, None]
+    k = np.arange(1, _KTAIL, dtype=np.float64)
+    if family == "poisson":
+        p0, r = np.exp(-mu * z), mu * z / k
+    elif family == "bernoulli":
+        p0 = (1.0 - mu) ** z
+        r = np.maximum(z - k + 1.0, 0.0) / k * (mu / (1.0 - mu))
+    else:
+        q = mu / (1.0 + mu)
+        p0, r = (1.0 - q) ** z, (z + k - 1.0) / k * q
+    pmf = np.cumprod(np.hstack([p0, np.broadcast_to(r, (rows, _KTAIL - 1))]),
+                     axis=1)
+    tabulated = (pmf[:, _KCOLS:].sum(axis=1) < _TAIL_MASS) \
+        & (p0[:, 0] >= np.finfo(np.float64).tiny)
+    tabulated[-1] = False
+    cdf = np.full((rows, width), np.inf)
+    cdf[:, :_KCOLS] = np.cumsum(pmf[:, :_KCOLS], axis=1)
+    cells = np.arange(_GUIDE) / _GUIDE
+    guide = np.full((rows, _GUIDE), _KCOLS, dtype=np.intp)
+    for row in np.flatnonzero(tabulated):
+        guide[row] = np.searchsorted(cdf[row], cells, side="right")
+    guide += np.arange(rows)[:, None] * width
+    cdf, guide = cdf.ravel(), guide.ravel()
+    cdf.flags.writeable = guide.flags.writeable = False
+    return cdf, guide
 
 
 def sample_immigration_many(law: ImmigrationLaw, u: np.ndarray) -> np.ndarray:
@@ -117,24 +184,56 @@ def sample_aggregate_offspring_many(
 ) -> np.ndarray:
     """Total offspring for each entry of ``parents``, in O(1) per entry.
 
-    Uses the closed-form aggregate: Binomial(parents, mu) for Bernoulli
-    offspring, Poisson(parents*mu) for Poisson, and NegativeBinomial
-    (parents failures-before-success parametrisation) for Geometric.
-    The binomial and Poisson samplers return 0 for zero parents without
-    consuming the stream; ``negative_binomial`` rejects n = 0, so the
-    geometric family draws for positive entries only.
+    Each positive entry z takes one uniform u from one ``rng.random``
+    call and is drawn by indexed search in ``law``'s table: the guide
+    cell of row min(z, _ZMAX + 1) at floor(256u) gives the first
+    candidate k, and k steps forward, on the shrinking set of entries
+    that need it, while u >= CDF(k).  Rows 1 .. 31 are tabulated where
+    the law puts less than 1e-16 of its mass past k = 63.  Two cases
+    fall back to the ``Generator`` call for the closed-form aggregate,
+    Binomial(z, mu) for Bernoulli offspring, Poisson(z*mu) for Poisson
+    and NegativeBinomial(z, 1/(1+mu)) for Geometric: a family above the
+    tabulated rows, and a uniform at or past its row's last tabulated
+    CDF value.  Zero entries give 0 and draw nothing, so they leave the
+    stream untouched; a negative entry is a ``ValueError``.
     """
     parents = np.asarray(parents)
+    out = np.zeros(parents.shape, dtype=np.int64)
+    z = parents.ravel()
+    low = z.min(initial=1)
+    if low < 0:
+        raise ValueError("parents must be non-negative")
+    # the engine's families are all live: no index, gather or scatter
+    live = slice(None) if low > 0 else np.flatnonzero(z)
+    z = z[live]
+    if not z.size:
+        return out
+    row = np.minimum(z, _ZMAX + 1)
+    u = rng.random(len(z))
+    k = law._guide[row * _GUIDE + (u * _GUIDE).astype(np.intp)]
+    step = np.flatnonzero(u >= law._cdf[k])
+    while step.size:
+        k[step] += 1
+        step = step[u[step] >= law._cdf[k[step]]]
+    k -= row * (_KCOLS + 1)
+    fall = np.flatnonzero(k == _KCOLS)
+    if fall.size:
+        k[fall] = _generator_draw(law, z[fall], rng)
+    out.ravel()[live] = k
+    return out
+
+
+def _generator_draw(law: OffspringLaw, parents: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """The closed-form aggregate law's own ``Generator`` call, for
+    positive ``parents``."""
     mu = law.mu_A
     if law.family == "bernoulli":
         return rng.binomial(parents, mu)
     if law.family == "poisson":
         return rng.poisson(mu * parents)
     # geometric: sum of n draws is NB(n, p) with p = 1/(1+mu)
-    out = np.zeros(parents.shape, dtype=np.int64)
-    pos = parents > 0
-    out[pos] = rng.negative_binomial(parents[pos], 1.0 / (1.0 + mu))
-    return out
+    return rng.negative_binomial(parents, 1.0 / (1.0 + mu))
 
 
 def karamata_ratio(beta: float, alpha: float, x: float) -> float:

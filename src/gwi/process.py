@@ -71,9 +71,10 @@ _INIT_TOL = 1e-6
 # Chain-steps per ``simulate_batch`` block: each block's immigration is
 # drawn at once, its families run until they die out or leave it, and the
 # block is handed to the reducer.  At the reference point on 2 shared
-# vCPUs, 2**17 cost 75-78 ns per chain-step at widths 1-500, against
-# 85-90 ns at 2**15 and 74-90 ns at 2**19.  Also the most chains one
-# piece of ``stationary_init_many`` runs at a time.
+# vCPUs (numpy 2.4.6), 2**17 cost 40-47 ns per chain-step at widths
+# 1-500, against 43-48 ns at 2**15 and 43-48 ns at 2**19 (best of 3,
+# two runs each).  Also the most chains one piece of
+# ``stationary_init_many`` runs at a time.
 _REDUCE_BUDGET = 2**17
 
 # Chains per ``run_blocks`` block, the unit of RNG keys and worker jobs.

@@ -398,14 +398,14 @@ class TestRegistry:
     def test_tail_validate_tie_shortfall_is_usage_error(self, runner,
                                                           tmp_path):
         # the pre-check allows 1001.5 values above the 0.995-quantile, but
-        # path values tie at the threshold 21: only 991 lie above it
+        # path values tie at the threshold 22: only 977 lie above it
         cfg = tmp_path / "tail.cfg"
         cfg.write_text("n = 200000\nchains = 100\nquantile = 0.995\n")
         out = tmp_path / "runs" / "tail"
         result = runner.invoke(main, ["tail-validate", "--config", str(cfg),
                                       "--seed", "0", "--out", str(out)])
         assert result.exit_code == 2, result.output
-        for word in ("'n'", "'chains'", "'quantile'", "991", "threshold 21",
+        for word in ("'n'", "'chains'", "'quantile'", "977", "threshold 22",
                      f"{tailproc.MIN_EVENTS}"):
             assert word in result.output
         assert not (tmp_path / "runs").exists()

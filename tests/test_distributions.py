@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gwi.distributions import (
+    _GUIDE,
+    _KCOLS,
+    _ZMAX,
     ImmigrationLaw,
     OffspringLaw,
     karamata_limit,
@@ -154,6 +158,14 @@ class TestOffspringLaw:
         assert np.array_equal(mixed[pos], alone)
         assert np.all(mixed[~pos] == 0)
 
+    @pytest.mark.parametrize("fam", ["bernoulli", "poisson", "geometric"])
+    def test_negative_parents_rejected(self, fam):
+        # a negative row index would read another row of the table
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_aggregate_offspring_many(
+                OffspringLaw(fam, 0.5), np.array([3, -1, 0]),
+                np.random.default_rng(0))
+
     def test_bernoulli_large_population_mean(self, rng):
         law = OffspringLaw("bernoulli", 0.5)
         n_parents, n_draws = 10**6, 10**4
@@ -196,6 +208,163 @@ class TestOffspringLaw:
         pooled = (o1 + o2) / (o1.sum() + o2.sum())
         chi1 = stats.chisquare(o1, pooled * o1.sum(), ddof=0)
         assert chi1.pvalue > 0.01
+
+
+def _scipy_law(law, z):
+    """The aggregate offspring law of z parents, frozen in scipy."""
+    mu = law.mu_A
+    return {"poisson": lambda: stats.poisson(mu * z),
+            "bernoulli": lambda: stats.binom(z, mu),
+            "geometric": lambda: stats.nbinom(z, 1 / (1 + mu))}[law.family]()
+
+
+def _generator_draw(law, gen, z):
+    """The ``Generator`` call the table falls back to."""
+    mu = law.mu_A
+    return {"poisson": lambda: gen.poisson(mu * z),
+            "bernoulli": lambda: gen.binomial(z, mu),
+            "geometric": lambda: gen.negative_binomial(z, 1 / (1 + mu)),
+            }[law.family]()
+
+
+def _rows(law):
+    """Row z of the table: its CDF over k < _KCOLS, or None if z is not
+    tabulated (its guide points at the row's +inf sentinel)."""
+    cdf = law._cdf.reshape(_ZMAX + 2, _KCOLS + 1)
+    guide = law._guide.reshape(_ZMAX + 2, _GUIDE)
+    sentinel = np.arange(_ZMAX + 2) * (_KCOLS + 1) + _KCOLS
+    return [None if guide[z, 0] == sentinel[z] else cdf[z, :_KCOLS]
+            for z in range(_ZMAX + 2)]
+
+
+class _PresetRng:
+    """``random`` returns preset uniforms; the ``Generator`` calls go to
+    ``default_rng(seed)``."""
+
+    def __init__(self, u, seed):
+        self._u = np.asarray(u, dtype=np.float64)
+        self._gen = np.random.default_rng(seed)
+
+    def random(self, size):
+        assert size == len(self._u)
+        return self._u.copy()
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class TestOffspringTable:
+    """The indexed-search table behind ``sample_aggregate_offspring_many``."""
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("fam", OffspringLaw.FAMILIES)
+    def test_cdf_matches_scipy(self, fam, mu):
+        # every tabulated row to 1e-14; a row is tabulated exactly where
+        # its mass past the last column is below 1e-16 (scipy's sf, to
+        # a factor 1.5 for the two computations)
+        law = OffspringLaw(fam, mu)
+        rows = _rows(law)
+        assert rows[1] is not None and rows[_ZMAX + 1] is None
+        k = np.arange(_KCOLS)
+        for z in range(1, _ZMAX + 1):
+            ref = _scipy_law(law, z)
+            tail = ref.sf(_KCOLS - 1)
+            if rows[z] is None:
+                assert tail > 1e-16 / 1.5, (z, tail)
+            else:
+                assert tail < 1.5e-16, (z, tail)
+                assert np.abs(rows[z] - ref.cdf(k)).max() <= 1e-14, z
+
+    def test_underflowing_first_term_not_tabulated(self):
+        # (1 - mu_A)^z is subnormal from z = 31 at mu_A = 1 - 1e-10: the
+        # recurrence would scale its few digits up to the whole row, so
+        # that row falls back and the rows below it stay exact
+        law = OffspringLaw("bernoulli", 1 - 1e-10)
+        rows = _rows(law)
+        assert rows[31] is None and rows[30] is not None
+        for z in (1, 15, 30):
+            ref = stats.binom(z, law.mu_A).cdf(np.arange(_KCOLS))
+            assert np.abs(rows[z] - ref).max() <= 1e-14, z
+        got = sample_aggregate_offspring_many(
+            law, np.array([31]), _PresetRng([0.5], 3))
+        assert got.tolist() == [np.random.default_rng(3).binomial(31, law.mu_A)]
+
+    @pytest.mark.parametrize("fam", OffspringLaw.FAMILIES)
+    def test_draw_is_exact_inverse(self, fam):
+        # at the CDF values themselves, their neighbouring floats and the
+        # guide's cell edges, the draw is the smallest k with CDF(k) > u
+        law = OffspringLaw(fam, 0.5)
+        for z, cdf in enumerate(_rows(law)):
+            if cdf is None or z == 0:
+                continue
+            inner = cdf[cdf < 1.0]
+            u = np.concatenate([inner, np.nextafter(inner, 0.0),
+                                np.nextafter(inner, 1.0),
+                                np.arange(_GUIDE) / _GUIDE,
+                                np.random.default_rng(z).random(200)])
+            u = u[u < min(cdf[-1], 1.0)]
+            got = sample_aggregate_offspring_many(
+                law, np.full(len(u), z), _PresetRng(u, 0))
+            assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize("fam", OffspringLaw.FAMILIES)
+    def test_fallbacks_are_generator_calls(self, fam):
+        # the first uniform below 1: rows whose last tabulated CDF value
+        # rounds below 1 fall back, and so does every family above the
+        # tabulated rows; each fallback is the Generator call, in order
+        law = OffspringLaw(fam, 0.5)
+        rows = _rows(law)
+        top = 1.0 - 2.0**-53
+        short = [z for z in range(1, _ZMAX + 1)
+                 if rows[z] is not None and rows[z][-1] <= top]
+        full = [z for z in range(1, _ZMAX + 1)
+                if rows[z] is not None and rows[z][-1] > top]
+        large = [z for z in range(1, 3 * _ZMAX)
+                 if rows[min(z, _ZMAX + 1)] is None]
+        assert short and large
+        parents = np.array(full + short + large)
+        got = sample_aggregate_offspring_many(
+            law, parents, _PresetRng(np.full(len(parents), top), 5))
+        n = len(full)
+        assert np.array_equal(got[:n], [np.searchsorted(rows[z], top, "right")
+                                        for z in full])
+        want = _generator_draw(law, np.random.default_rng(5), parents[n:])
+        assert np.array_equal(got[n:], want)
+
+    @pytest.mark.parametrize("fam", OffspringLaw.FAMILIES)
+    @pytest.mark.parametrize("z", [1, 7, 31])
+    def test_draw_law(self, fam, z):
+        # chi-square against scipy's pmf at 0.1% (nine tests), with the
+        # outer 1e-4 of the mass on each side pooled into its end bin
+        law = OffspringLaw(fam, 0.5)
+        draws = sample_aggregate_offspring_many(
+            law, np.full(10**5, z), np.random.default_rng(z))
+        ref = _scipy_law(law, z)
+        lo, hi = int(ref.ppf(1e-4)), int(ref.ppf(1 - 1e-4))
+        probs = ref.pmf(np.arange(lo, hi + 1))
+        probs[0], probs[-1] = ref.cdf(lo), ref.sf(hi - 1)
+        obs = np.bincount(np.clip(draws, lo, hi) - lo, minlength=len(probs))
+        assert stats.chisquare(obs, probs * len(draws)).pvalue > 1e-3
+
+    def test_tables_leave_identity_alone(self):
+        # equality, hash and repr see only family, mu_A and sigma_A2, and
+        # a pickled law (``run_blocks`` sends one to each worker) draws
+        # the same stream
+        law = OffspringLaw("Geometric", 0.5)
+        assert law == OffspringLaw("geometric", 0.5)
+        assert hash(law) == hash(("geometric", 0.5, 0.75))
+        assert repr(law) == \
+            "OffspringLaw(family='geometric', mu_A=0.5, sigma_A2=0.75)"
+        back = pickle.loads(pickle.dumps(law))
+        assert back == law and hash(back) == hash(law)
+        parents = np.arange(60)
+        assert np.array_equal(
+            sample_aggregate_offspring_many(back, parents,
+                                            np.random.default_rng(2)),
+            sample_aggregate_offspring_many(law, parents,
+                                            np.random.default_rng(2)))
+        with pytest.raises(ValueError):
+            law._cdf[0] = 0.0
 
 
 class TestKaramata:

@@ -39,18 +39,24 @@ def _model(mu_A):
 class _ZeroImmigrationRng:
     """Uniform stream pinned below 1-c: every immigration draw is zero.
 
-    Offspring draws go to a real generator.
+    ``offspring``, installed as ``process.sample_aggregate_offspring_many``,
+    draws from a real generator.
     """
 
     def __init__(self):
-        self.poisson = np.random.default_rng(0).poisson
+        self._rng = np.random.default_rng(0)
 
     def random(self, shape=None):
         return np.full(shape, 0.1) if shape is not None else 0.1
 
+    def offspring(self, law, parents, rng):
+        return sample_aggregate_offspring_many(law, parents, self._rng)
+
 
 class _RecordingRng:
-    """Real uniforms, recorded with every call; offspring always zero."""
+    """Real uniforms, recorded with every call; ``offspring``, installed as
+    ``process.sample_aggregate_offspring_many``, records its call and
+    gives zero offspring."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -63,9 +69,10 @@ class _RecordingRng:
         self.uniforms.append(u)
         return u
 
-    def poisson(self, lam):
-        self.calls.append(("poisson", np.shape(lam)))
-        return np.zeros(np.shape(lam), dtype=np.int64)
+    def offspring(self, law, parents, rng):
+        assert rng is self
+        self.calls.append(("offspring", np.shape(parents)))
+        return np.zeros(np.shape(parents), dtype=np.int64)
 
 
 def _per_step_loop(params, n, inits, rng):
@@ -97,13 +104,28 @@ def _horner_init(params, size, rng):
 
 
 class _DoublingRng:
-    """Zero immigration; Poisson offspring doubling X when mu_A = 0.5."""
+    """Zero immigration; ``offspring``, installed as
+    ``process.sample_aggregate_offspring_many``, doubles X."""
 
     def random(self, shape):
         return np.full(shape, 0.1)
 
-    def poisson(self, lam):
-        return (4 * np.asarray(lam)).astype(np.int64)
+    @staticmethod
+    def offspring(law, parents, rng):
+        return 2 * np.asarray(parents, dtype=np.int64)
+
+
+@pytest.fixture
+def fake_offspring(monkeypatch):
+    """``fake_offspring(rng)``: the engine draws offspring by
+    ``rng.offspring`` from here on; returns ``rng``."""
+
+    def install(rng):
+        monkeypatch.setattr(process, "sample_aggregate_offspring_many",
+                            rng.offspring)
+        return rng
+
+    return install
 
 
 class TestModelParams:
@@ -133,11 +155,12 @@ class TestStationaryInit:
         assert abs(draws.mean() - ref_model.stationary_mean) < 3 * stderr
 
     @pytest.mark.parametrize("mu_A, depth", [(0.5, 20), (1e-7, 0)])
-    def test_engine_runs_depth_plus_one_steps(self, mu_A, depth):
+    def test_engine_runs_depth_plus_one_steps(self, mu_A, depth,
+                                              fake_offspring):
         # with zero offspring the chain from X_0 = 0 ends at its last
         # immigration batch: one block of depth + 1 steps, one random call
         params = _model(mu_A)
-        fake = _RecordingRng(3)
+        fake = fake_offspring(_RecordingRng(3))
         draws = stationary_init_many(params, 7, fake)
         assert [u.shape for u in fake.uniforms] == [(depth + 1, 7)]
         assert np.array_equal(
@@ -182,8 +205,8 @@ class TestStationaryInit:
 
 
 class TestSimulate:
-    def test_zero_path(self, ref_model):
-        x = simulate(ref_model, 50, 0, _ZeroImmigrationRng())
+    def test_zero_path(self, ref_model, fake_offspring):
+        x = simulate(ref_model, 50, 0, fake_offspring(_ZeroImmigrationRng()))
         assert x.shape == (51,) and x.dtype == np.int64
         assert np.all(x == 0)
         assert np.allclose(residuals(ref_model, x), -ref_model.mu_B)
@@ -274,7 +297,8 @@ class TestReduceMode:
                            reduce or _store(3, len(inits))[1])
 
     @pytest.mark.parametrize("n", [70, 64, 5])
-    def test_immigration_drawn_per_block(self, ref_model, stored, n):
+    def test_immigration_drawn_per_block(self, ref_model, stored, n,
+                                         fake_offspring):
         # with zero offspring X_i = B_i: the path must be the recorded
         # (t, chains) uniforms mapped through the immigration kernel.  Each
         # block makes one random call, then one offspring call for its
@@ -282,7 +306,7 @@ class TestReduceMode:
         # families all die there
         steps = 32
         chains = _REDUCE_BUDGET // steps
-        fake = _RecordingRng(5)
+        fake = fake_offspring(_RecordingRng(5))
         path = stored(ref_model, n, np.arange(chains), fake)
         starts = range(0, n, steps)
         sizes = [min(steps, n - s) for s in starts]
@@ -296,7 +320,7 @@ class TestReduceMode:
             block = [("random", (t, chains))]
             families = np.count_nonzero(path[:, s: s + t])
             if families:
-                block.append(("poisson", (families,)))
+                block.append(("offspring", (families,)))
             want += block
             want_reduced += block + [("reduce", (t + 1, chains))]
         assert fake.calls == want
@@ -304,7 +328,7 @@ class TestReduceMode:
         # a recording reducer: the same draws, each window handed over
         # after its block's last offspring call and before the next
         # block's draws
-        again = _RecordingRng(5)
+        again = fake_offspring(_RecordingRng(5))
         windows = []
 
         def reduce(window):
@@ -317,18 +341,20 @@ class TestReduceMode:
         assert np.array_equal(windows[0][0], np.arange(chains))
 
     @pytest.mark.parametrize("reduced", [False, True])
-    def test_overflow_guard_mid_block(self, ref_model, stored, reduced):
+    def test_overflow_guard_mid_block(self, ref_model, stored, reduced,
+                                      fake_offspring):
         # X doubles from 3*2**57 and passes 2**62 at step 4, inside the
         # first block: the run raises and no block reaches the reducer
         inits = np.array([1, 3 * 2**57], dtype=np.int64)
+        doubling = fake_offspring(_DoublingRng())
         for n in (4, 100):
             seen = []
             with pytest.raises(TailOverflowError):
-                simulate_batch(ref_model, n, inits, _DoublingRng(),
+                simulate_batch(ref_model, n, inits, doubling,
                                seen.append if reduced else
                                _store(n, len(inits))[1])
             assert seen == []
-        path = stored(ref_model, 3, inits, _DoublingRng())
+        path = stored(ref_model, 3, inits, doubling)
         assert path.tolist() == [[1, 2, 4, 8],
                                  [3 * 2**k for k in range(57, 61)]]
 
