@@ -6,11 +6,13 @@ k >= 1, with tail index alpha in (1, 2) so the mean is finite but the
 variance is not.  Offspring counts come from one of three parametric
 families (Bernoulli, Poisson, Geometric) chosen so the total offspring
 of ``parents`` individuals has a closed-form law: Binomial, Poisson or
-negative binomial.  Most live families are small, so each
-``OffspringLaw`` tabulates that law's CDF for 1 .. 31 parents and
-0 .. 63 offspring, and a family is drawn by indexed-search inversion of
-one uniform (Chen & Asau 1974; Devroye 1986, ch. III): a 256-cell guide
-per row gives the first candidate, and the draw steps forward while the
+negative binomial.  Most live families are small, so the CDF of that
+law for 1 .. 31 parents and 0 .. 63 offspring is tabulated once per
+(family, mu_A), on the first draw, and cached like the CF rule of
+``limitlaw``; ``OffspringLaw`` itself is a plain value.  A family of
+positive size is drawn by indexed-search inversion of one uniform
+(Chen & Asau 1974; Devroye 1986, ch. III): a 256-cell guide per row
+gives the first candidate, and the draw steps forward while the
 uniform is at or past the CDF.  A family the table does not cover, or a
 uniform past its row's last tabulated value, is drawn by the
 ``Generator`` call for its law, in O(1) regardless of the population
@@ -20,6 +22,7 @@ exact Pareto law, in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -88,9 +91,6 @@ class OffspringLaw:
     family: str
     mu_A: float
     sigma_A2: float = field(init=False)
-    # indexed-search tables of ``sample_aggregate_offspring_many``
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
-    _guide: np.ndarray = field(init=False, repr=False, compare=False)
 
     FAMILIES = ("bernoulli", "poisson", "geometric")
 
@@ -108,13 +108,12 @@ class OffspringLaw:
             "geometric": mu * (1.0 + mu),
         }[fam]
         object.__setattr__(self, "sigma_A2", var)
-        cdf, guide = _offspring_tables(fam, mu)
-        object.__setattr__(self, "_cdf", cdf)
-        object.__setattr__(self, "_guide", guide)
 
 
+@functools.lru_cache(maxsize=64)
 def _offspring_tables(family: str, mu: float):
-    """Flat CDF table and guide of the aggregate offspring law.
+    """Flat CDF table and guide of the aggregate offspring law (built on
+    first use, read-only).
 
     Row z holds P(S_z <= k) for k < _KCOLS, S_z the total offspring of z
     parents, from the pmf recurrence p_k = p_(k-1) * r_k: Poisson(z*mu),
@@ -182,45 +181,39 @@ def sample_immigration_many(law: ImmigrationLaw, u: np.ndarray) -> np.ndarray:
 def sample_aggregate_offspring_many(
     law: OffspringLaw, parents: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Total offspring for each entry of ``parents``, in O(1) per entry.
+    """Total offspring of each family in the 1-d array ``parents`` of
+    positive sizes, in O(1) per family.
 
-    Each positive entry z takes one uniform u from one ``rng.random``
-    call and is drawn by indexed search in ``law``'s table: the guide
-    cell of row min(z, _ZMAX + 1) at floor(256u) gives the first
-    candidate k, and k steps forward, on the shrinking set of entries
-    that need it, while u >= CDF(k).  Rows 1 .. 31 are tabulated where
-    the law puts less than 1e-16 of its mass past k = 63.  Two cases
-    fall back to the ``Generator`` call for the closed-form aggregate,
-    Binomial(z, mu) for Bernoulli offspring, Poisson(z*mu) for Poisson
-    and NegativeBinomial(z, 1/(1+mu)) for Geometric: a family above the
-    tabulated rows, and a uniform at or past its row's last tabulated
-    CDF value.  Zero entries give 0 and draw nothing, so they leave the
-    stream untouched; a negative entry is a ``ValueError``.
+    Each family z takes one uniform u from one ``rng.random`` call and is
+    drawn by indexed search in the cached table of (``law.family``,
+    ``law.mu_A``): the guide cell of row min(z, _ZMAX + 1) at floor(256u)
+    gives the first candidate k, and k steps forward, on the shrinking
+    set of families that need it, while u >= CDF(k).  Rows 1 .. 31 are
+    tabulated where the law puts less than 1e-16 of its mass past
+    k = 63.  Two cases fall back to the ``Generator`` call for the
+    closed-form aggregate, Binomial(z, mu) for Bernoulli offspring,
+    Poisson(z*mu) for Poisson and NegativeBinomial(z, 1/(1+mu)) for
+    Geometric: a family above the tabulated rows, and a uniform at or
+    past its row's last tabulated CDF value.  A size below 1 would read
+    another row of the table, so it is a ``ValueError``, raised before
+    any draw.
     """
-    parents = np.asarray(parents)
-    out = np.zeros(parents.shape, dtype=np.int64)
-    z = parents.ravel()
-    low = z.min(initial=1)
-    if low < 0:
-        raise ValueError("parents must be non-negative")
-    # the engine's families are all live: no index, gather or scatter
-    live = slice(None) if low > 0 else np.flatnonzero(z)
-    z = z[live]
-    if not z.size:
-        return out
+    z = np.asarray(parents)
+    if z.min(initial=1) < 1:
+        raise ValueError("parents must be positive")
+    cdf, guide = _offspring_tables(law.family, law.mu_A)
     row = np.minimum(z, _ZMAX + 1)
     u = rng.random(len(z))
-    k = law._guide[row * _GUIDE + (u * _GUIDE).astype(np.intp)]
-    step = np.flatnonzero(u >= law._cdf[k])
+    k = guide[row * _GUIDE + (u * _GUIDE).astype(np.intp)]
+    step = np.flatnonzero(u >= cdf[k])
     while step.size:
         k[step] += 1
-        step = step[u[step] >= law._cdf[k[step]]]
+        step = step[u[step] >= cdf[k[step]]]
     k -= row * (_KCOLS + 1)
     fall = np.flatnonzero(k == _KCOLS)
     if fall.size:
         k[fall] = _generator_draw(law, z[fall], rng)
-    out.ravel()[live] = k
-    return out
+    return k
 
 
 def _generator_draw(law: OffspringLaw, parents: np.ndarray,

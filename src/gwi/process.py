@@ -197,11 +197,15 @@ def simulate_batch(
     chains) int64 window, row 0 the previous block's last state (X_0 for
     the first), a fresh array that a reducer may keep but must not write
     into.  A value above 2**62 raises ``TailOverflowError`` before its
-    block reaches the reducer.  Returns X_n, in an array of its own.
+    block reaches the reducer.  ``inits`` must be non-negative integers.
+    Returns X_n, in an array of its own.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    x = np.asarray(inits, dtype=np.int64)
+    x = np.asarray(inits)
+    if x.dtype.kind not in "iu" or x.min(initial=0) < 0:
+        raise ValueError("inits must be non-negative integers")
+    x = x.astype(np.int64, copy=False)
     chains = len(x)
     steps = max(1, _REDUCE_BUDGET // max(chains, 1))
     for start in range(0, n, steps):
@@ -315,7 +319,7 @@ def simulate(
 ) -> np.ndarray:
     """Simulate one path X_0 = init, ..., X_n as an (n+1,) int64 array."""
     paths, reduce = _store(n, 1)
-    simulate_batch(params, n, np.array([init], dtype=np.int64), rng, reduce)
+    simulate_batch(params, n, np.array([init]), rng, reduce)
     return paths[0]
 
 

@@ -11,6 +11,7 @@ from scipy import stats
 
 import gwi
 from gwi import cli, limitlaw, process, tailproc
+from gwi import distributions as dist
 from gwi.cli import (
     _SHARED,
     EXPERIMENTS,
@@ -322,6 +323,16 @@ class TestRegistry:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"] == {**_SHARED_DEFAULTS,
                                       **_OWN_DEFAULTS[name]}
+
+    def test_limit_commands_build_no_offspring_table(self, tmp_path):
+        # the limit-law commands read only sigma_A2 of the offspring law;
+        # its draw table is a cache that only a draw fills
+        for name in ("cdf-table", "cf-table", "limit-sample"):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(_TINY[name])
+            dist._offspring_tables.cache_clear()
+            run(parse_config(str(cfg)), name, tmp_path / name)
+            assert dist._offspring_tables.cache_info().currsize == 0, name
 
     @pytest.mark.parametrize("name,line", [
         ("estimate", "compensate = yes"), ("cdf-table", "n = 100"),

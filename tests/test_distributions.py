@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -13,6 +14,7 @@ from gwi.distributions import (
     _ZMAX,
     ImmigrationLaw,
     OffspringLaw,
+    _offspring_tables,
     karamata_limit,
     karamata_ratio,
     sample_aggregate_offspring_many,
@@ -134,37 +136,17 @@ class TestOffspringLaw:
         with pytest.raises(ValueError):
             OffspringLaw("zeta", 0.5)
 
-    def test_zero_parents(self, rng):
-        # zero parents give zero offspring and leave the stream untouched
-        for fam in ("bernoulli", "poisson", "geometric"):
-            law = OffspringLaw(fam, 0.5)
-            state = rng.bit_generator.state
-            draws = sample_aggregate_offspring_many(
-                law, np.zeros(5, dtype=np.int64), rng)
-            assert draws.dtype == np.int64
-            assert np.all(draws == 0)
-            assert rng.bit_generator.state == state
-
-    @pytest.mark.parametrize("fam", ["bernoulli", "poisson", "geometric"])
-    def test_zero_parents_draw_nothing(self, fam):
-        # mixed zero and positive counts: same stream use as positives alone
-        law = OffspringLaw(fam, 0.5)
-        parents = np.array([0, 3, 0, 5, 0, 1])
-        pos = parents > 0
-        mixed = sample_aggregate_offspring_many(
-            law, parents, np.random.default_rng(1))
-        alone = sample_aggregate_offspring_many(
-            law, parents[pos], np.random.default_rng(1))
-        assert np.array_equal(mixed[pos], alone)
-        assert np.all(mixed[~pos] == 0)
-
     @pytest.mark.parametrize("fam", ["bernoulli", "poisson", "geometric"])
     def test_negative_parents_rejected(self, fam):
-        # a negative row index would read another row of the table
-        with pytest.raises(ValueError, match="non-negative"):
-            sample_aggregate_offspring_many(
-                OffspringLaw(fam, 0.5), np.array([3, -1, 0]),
-                np.random.default_rng(0))
+        # a size below 1 would read another row of the table: zero and
+        # negative sizes are rejected before anything is drawn
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                sample_aggregate_offspring_many(
+                    OffspringLaw(fam, 0.5), np.array([3, bad, 2]), rng)
+        assert rng.bit_generator.state == state
 
     def test_bernoulli_large_population_mean(self, rng):
         law = OffspringLaw("bernoulli", 0.5)
@@ -230,8 +212,9 @@ def _generator_draw(law, gen, z):
 def _rows(law):
     """Row z of the table: its CDF over k < _KCOLS, or None if z is not
     tabulated (its guide points at the row's +inf sentinel)."""
-    cdf = law._cdf.reshape(_ZMAX + 2, _KCOLS + 1)
-    guide = law._guide.reshape(_ZMAX + 2, _GUIDE)
+    cdf, guide = _offspring_tables(law.family, law.mu_A)
+    cdf = cdf.reshape(_ZMAX + 2, _KCOLS + 1)
+    guide = guide.reshape(_ZMAX + 2, _GUIDE)
     sentinel = np.arange(_ZMAX + 2) * (_KCOLS + 1) + _KCOLS
     return [None if guide[z, 0] == sentinel[z] else cdf[z, :_KCOLS]
             for z in range(_ZMAX + 2)]
@@ -357,14 +340,31 @@ class TestOffspringTable:
             "OffspringLaw(family='geometric', mu_A=0.5, sigma_A2=0.75)"
         back = pickle.loads(pickle.dumps(law))
         assert back == law and hash(back) == hash(law)
-        parents = np.arange(60)
+        parents = np.arange(1, 60)
         assert np.array_equal(
             sample_aggregate_offspring_many(back, parents,
                                             np.random.default_rng(2)),
             sample_aggregate_offspring_many(law, parents,
                                             np.random.default_rng(2)))
-        with pytest.raises(ValueError):
-            law._cdf[0] = 0.0
+
+    def test_tables_are_a_cache(self):
+        # a law is its three fields; the table is built on the first draw
+        # for its (family, mu_A), shared by equal laws and read-only
+        assert [f.name for f in dataclasses.fields(OffspringLaw)] == \
+            ["family", "mu_A", "sigma_A2"]
+        assert len(pickle.dumps(OffspringLaw("poisson", 0.5))) < 1000
+        _offspring_tables.cache_clear()
+        OffspringLaw("Geometric", 0.5)
+        assert _offspring_tables.cache_info().currsize == 0
+        for fam in ("Geometric", "geometric"):
+            sample_aggregate_offspring_many(
+                OffspringLaw(fam, 0.5), np.array([1, 40]),
+                np.random.default_rng(0))
+        info = _offspring_tables.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        for table in _offspring_tables("geometric", 0.5):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestKaramata:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gwi import limitlaw
 from gwi.limitlaw import (
@@ -389,6 +390,22 @@ class TestCdfRatio:
         assert cdf_ratio(p, 0.0) == 0.5
         assert all(cdf_ratio(p, x) + cdf_ratio(p, -x) == 1.0 for x in grid)
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("params", [
+        (1.5, 0.5, 0.5), (1.2, 0.5, 0.5), (1.8, 0.9, 0.9)])
+    def test_matches_scale_mixture(self, params):
+        # V2/V1 = k sqrt(U) N with N standard normal and independent of U,
+        # so F(x) = E Phi(x / (k sqrt U)): the CF inversion against the
+        # mean of Phi over series draws of U, within 4 standard errors
+        p = LimitParams(*params)
+        k = (1 - p.mu_A**2) * math.sqrt(p.sigma_A2 / (1 - p.mu_A**3)) \
+            * p.theta ** (-0.5 / p.alpha)
+        u = limit_u_samples(p, 0.01, 10**5, np.random.default_rng(17))
+        for x in (0.25, 0.5, 1.0, 2.0):
+            phi = stats.norm.cdf(x / (k * np.sqrt(u)))
+            se = phi.std(ddof=1) / math.sqrt(len(u))
+            gap = abs(phi.mean() - cdf_ratio(p, x, tol=1e-6))
+            assert gap <= 4 * se + 1e-6, (x, gap, se)
 
     @pytest.mark.parametrize("params, x", [
         ((1.5, 0.5, 0.5), 20.0), ((1.5, 0.5, 0.5), 100.0),

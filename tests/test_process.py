@@ -81,12 +81,14 @@ def _per_step_loop(params, n, inits, rng):
     X_i = (offspring of X_(i-1)) + B_i, one transition of every chain at
     a time, with fresh uniforms for each step's immigration.
     """
-    x = np.asarray(inits, dtype=np.int64)
+    x = np.array(inits, dtype=np.int64)
     out = np.empty((len(x), n + 1), dtype=np.int64)
     out[:, 0] = x
     for i in range(n):
         b = sample_immigration_many(params.immigration, rng.random(len(x)))
-        x = sample_aggregate_offspring_many(params.offspring, x, rng) + b
+        pos = x > 0
+        x[pos] = sample_aggregate_offspring_many(params.offspring, x[pos], rng)
+        x += b
         out[:, i + 1] = x
     return out
 
@@ -98,8 +100,9 @@ def _horner_init(params, size, rng):
     """
     s = sample_immigration_many(params.immigration, rng.random(size))
     for _ in range(cascade_depth(params)):
-        s = sample_aggregate_offspring_many(params.offspring, s, rng) \
-            + sample_immigration_many(params.immigration, rng.random(size))
+        pos = s > 0
+        s[pos] = sample_aggregate_offspring_many(params.offspring, s[pos], rng)
+        s += sample_immigration_many(params.immigration, rng.random(size))
     return s
 
 
@@ -295,6 +298,18 @@ class TestReduceMode:
         with pytest.raises(TailOverflowError):
             simulate_batch(ref_model, 3, inits, rng,
                            reduce or _store(3, len(inits))[1])
+
+    @pytest.mark.parametrize("inits", [[2.7, 1.2], [3, -1], [True, False]])
+    def test_bad_inits_named(self, ref_model, inits):
+        # a bad start is named where it enters the engine, before any draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="inits"):
+            simulate_batch(ref_model, 3, np.array(inits), rng,
+                           lambda window: None)
+        with pytest.raises(ValueError, match="inits"):
+            simulate(ref_model, 3, inits[1], rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("n", [70, 64, 5])
     def test_immigration_drawn_per_block(self, ref_model, stored, n,
