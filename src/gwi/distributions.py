@@ -6,10 +6,13 @@ k >= 1, with tail index alpha in (1, 2) so the mean is finite but the
 variance is not.  Offspring counts come from one of three parametric
 families (Bernoulli, Poisson, Geometric) chosen so the total offspring
 of ``parents`` individuals has a closed-form law: Binomial, Poisson or
-negative binomial.  Most live families are small, so the CDF of that
-law for 1 .. 31 parents and 0 .. 63 offspring is tabulated once per
-(family, mu_A), on the first draw, and cached like the CF rule of
-``limitlaw``; ``OffspringLaw`` itself is a plain value.  A family of
+negative binomial.  These are the (a, b, 0) class (Panjer 1981; Sundt
+& Jewell 1981), one family per value of the Katz parameter s in
+``_KATZ``: each pmf obeys one recurrence in s, and the offspring
+variance is mu_A (1 + s mu_A).  Most live families are small, so the
+CDF of that law for 1 .. 31 parents and 0 .. 63 offspring is tabulated
+once per (family, mu_A), on the first draw, and cached like the CF rule
+of ``limitlaw``; ``OffspringLaw`` itself is a plain value.  A family of
 positive size is drawn by indexed-search inversion of one uniform
 (Chen & Asau 1974; Devroye 1986, ch. III): a 256-cell guide per row
 gives the first candidate, and the draw steps forward while the
@@ -55,6 +58,13 @@ _GUIDE = 256
 _TAIL_MASS = 1e-16
 _KTAIL = 4 * _KCOLS
 
+# Katz parameter s of each family, in the order the CLI words them.  The
+# total offspring S_z of z parents has p_0 = (1 + s mu)^(-z/s), or
+# e^(-z mu) at s = 0, and p_k / p_(k-1) = q (z + s (k-1)) / k with
+# q = mu / (1 + s mu); one parent's variance is mu (1 + s mu).  At s = -1
+# the ratio is 0 at k = z + 1, which ends the Binomial row.
+_KATZ = {"bernoulli": -1.0, "poisson": 0.0, "geometric": 1.0}
+
 
 @dataclass(frozen=True)
 class ImmigrationLaw:
@@ -92,7 +102,7 @@ class OffspringLaw:
     mu_A: float
     sigma_A2: float = field(init=False)
 
-    FAMILIES = ("bernoulli", "poisson", "geometric")
+    FAMILIES = tuple(_KATZ)
 
     def __post_init__(self):
         fam = self.family.lower()
@@ -101,13 +111,8 @@ class OffspringLaw:
         object.__setattr__(self, "family", fam)
         if not 0.0 < self.mu_A < 1.0:
             raise ValueError(f"mu_A must lie in (0, 1), got {self.mu_A}")
-        mu = self.mu_A
-        var = {
-            "bernoulli": mu * (1.0 - mu),
-            "poisson": mu,
-            "geometric": mu * (1.0 + mu),
-        }[fam]
-        object.__setattr__(self, "sigma_A2", var)
+        object.__setattr__(self, "sigma_A2",
+                           self.mu_A * (1.0 + _KATZ[fam] * self.mu_A))
 
 
 @functools.lru_cache(maxsize=64)
@@ -116,29 +121,24 @@ def _offspring_tables(family: str, mu: float):
     first use, read-only).
 
     Row z holds P(S_z <= k) for k < _KCOLS, S_z the total offspring of z
-    parents, from the pmf recurrence p_k = p_(k-1) * r_k: Poisson(z*mu),
-    Binomial(z, mu), or NB(z, 1/(1+mu)) counting failures.  Row
-    _ZMAX + 1 stands for every larger family.  Guide cell j of row z is
-    the flat index of the first k with CDF above j/_GUIDE; in a row that
-    is not tabulated, and in row _ZMAX + 1, it is the row's sentinel, so
-    its draws come out as k = _KCOLS and fall back.  A row is tabulated
-    when its mass past k = _KCOLS - 1 is below _TAIL_MASS and its first
-    term p_0 is a normal float (else the recurrence loses its digits,
-    as the Binomial row does for mu_A near 1).
+    parents: Binomial(z, mu), Poisson(z*mu), or NB(z, 1/(1+mu)) counting
+    failures, every row from the one (a, b, 0) recurrence of ``_KATZ`` at
+    the family's s.  Row _ZMAX + 1 stands for every larger family.
+    Guide cell j of row z is the flat index of the first k with CDF
+    above j/_GUIDE; in a row that is not tabulated, and in row
+    _ZMAX + 1, it is the row's sentinel, so its draws come out as
+    k = _KCOLS and fall back.  A row is tabulated when its mass past
+    k = _KCOLS - 1 is below _TAIL_MASS and its first term p_0 is a
+    normal float (else the recurrence loses its digits, as the Binomial
+    row does for mu_A near 1).
     """
     rows, width = _ZMAX + 2, _KCOLS + 1
     z = np.arange(rows, dtype=np.float64)[:, None]
     k = np.arange(1, _KTAIL, dtype=np.float64)
-    if family == "poisson":
-        p0, r = np.exp(-mu * z), mu * z / k
-    elif family == "bernoulli":
-        p0 = (1.0 - mu) ** z
-        r = np.maximum(z - k + 1.0, 0.0) / k * (mu / (1.0 - mu))
-    else:
-        q = mu / (1.0 + mu)
-        p0, r = (1.0 - q) ** z, (z + k - 1.0) / k * q
-    pmf = np.cumprod(np.hstack([p0, np.broadcast_to(r, (rows, _KTAIL - 1))]),
-                     axis=1)
+    s = _KATZ[family]
+    p0 = np.exp(-mu * z) if s == 0.0 else (1.0 + s * mu) ** (-z / s)
+    r = mu / (1.0 + s * mu) * (z + s * (k - 1.0)) / k
+    pmf = np.cumprod(np.hstack([p0, r]), axis=1)
     tabulated = (pmf[:, _KCOLS:].sum(axis=1) < _TAIL_MASS) \
         & (p0[:, 0] >= np.finfo(np.float64).tiny)
     tabulated[-1] = False
@@ -211,7 +211,7 @@ def sample_aggregate_offspring_many(
         step = step[u[step] >= cdf[k[step]]]
     k -= row * (_KCOLS + 1)
     fall = np.flatnonzero(k == _KCOLS)
-    if fall.size:
+    if fall.size:  # an empty Generator call costs ~15 us, the test ~30 ns
         k[fall] = _generator_draw(law, z[fall], rng)
     return k
 

@@ -322,8 +322,9 @@ def cf_log(p: LimitParams, s, t):
     J(-st, tt) = conj J(st, tt).  L and the normalised point are formed
     from |s|^{1/2} and |t|^{2/3}, so no finite (s, t) overflows or
     underflows them; where theta*L^alpha*J leaves the float range the
-    value is -inf (phi = 0).  ``s`` and ``t`` broadcast; scalars give
-    a complex scalar.
+    value is -inf (phi = 0), as it is at s or t = +-inf, and where s or
+    t is NaN it is NaN.  ``s`` and ``t`` broadcast; scalars give a
+    complex scalar.
     """
     m = p.mu_A
     s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
@@ -338,8 +339,9 @@ def cf_log(p: LimitParams, s, t):
     with np.errstate(over="ignore", invalid="ignore"):
         log_phi = p.theta * (big**p.alpha * np.where(s < 0.0, np.conj(jn), jn))
     # a part is non-finite only past the float range, where Re J < 0
-    # makes Re log phi = -inf: phi = 0
-    return np.where(np.isfinite(log_phi), log_phi, -np.inf)[()]
+    # makes Re log phi = -inf: phi = 0; a NaN argument stays NaN
+    log_phi = np.where(np.isfinite(log_phi), log_phi, -np.inf)
+    return np.where(np.isnan(s) | np.isnan(t), np.nan, log_phi)[()]
 
 
 def cf_joint(p: LimitParams, s, t):

@@ -258,6 +258,22 @@ class TestOffspringTable:
                 assert tail < 1.5e-16, (z, tail)
                 assert np.abs(rows[z] - ref.cdf(k)).max() <= 1e-14, z
 
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("fam", OffspringLaw.FAMILIES)
+    def test_rows_have_the_law_moments(self, fam, mu):
+        # the one recurrence and the one variance agree: the pmf of every
+        # tabulated row z has mean z*mu_A and variance z*sigma_A2
+        law = OffspringLaw(fam, mu)
+        k = np.arange(_KCOLS)
+        for z, cdf in enumerate(_rows(law)):
+            if cdf is None or z == 0:
+                continue
+            pmf = np.diff(cdf, prepend=0.0)
+            mean = pmf @ k
+            var = pmf @ (k - mean) ** 2
+            assert abs(mean / (z * mu) - 1.0) <= 1e-10, (z, mean)
+            assert abs(var / (z * law.sigma_A2) - 1.0) <= 1e-10, (z, var)
+
     def test_underflowing_first_term_not_tabulated(self):
         # (1 - mu_A)^z is subnormal from z = 31 at mu_A = 1 - 1e-10: the
         # recurrence would scale its few digits up to the whole row, so

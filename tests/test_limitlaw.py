@@ -135,6 +135,24 @@ class TestCharacteristicFunctions:
             -ref_limit.C2 * 1e200 ** (2 * ref_limit.alpha / 3), rel=1e-9)
         assert cf_log(LimitParams(1.99, 0.5, 0.5), 0.0, 1e300) == -np.inf
 
+    def test_nan_argument_is_nan(self, ref_limit):
+        # a NaN s or t gives NaN, as cf_marginals does; +-inf keeps its
+        # limit phi = 0, and the other entries of an array are untouched
+        p, nan, inf = ref_limit, np.nan, np.inf
+        assert np.isnan(cf_joint(p, nan, 1.0))
+        assert np.isnan(cf_log(p, nan, 0.0)) and np.isnan(cf_log(p, 0.0, nan))
+        assert np.isnan(cf_marginals(p, nan, nan)[1])
+        s = np.array([1.0, nan, inf, -2.0, 0.0, -inf, nan, 0.3])
+        t = np.array([0.5, 1.0, 1.0, nan, 0.0, 2.0, nan, -inf])
+        with np.errstate(invalid="ignore"):  # +-inf forms inf/inf en route
+            got = cf_log(p, s, t)
+        bad = np.isnan(s) | np.isnan(t)
+        assert np.isnan(got[bad]).all()
+        assert (got[[2, 5, 7]] == -np.inf).all()
+        fin = np.isfinite(s) & np.isfinite(t)
+        assert np.array_equal(got[fin], cf_log(p, s[fin], t[fin]))
+        assert got[0] == cf_log(p, 1.0, 0.5) and got[4] == 0.0
+
     def test_moderate_values_within_ulps(self):
         # the normalised point formed from st and tt directly, which is
         # finite in this range, agrees with cf_log to a few ulps
